@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <ctime>
+#include <filesystem>
 
 #include "panorama/support/json.h"
 
@@ -272,7 +273,117 @@ std::vector<std::string>& extraArgsStorage() {
   return args;
 }
 
+bool readFile(const std::string& path, std::string* out) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return false;
+  char buf[4096];
+  std::size_t n;
+  out->clear();
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  std::fclose(f);
+  return true;
+}
+
+bool writeFile(const std::string& path, const std::string& text, const char* mode) {
+  FILE* f = std::fopen(path.c_str(), mode);
+  if (!f) return false;
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+bool samePath(const std::string& a, const std::string& b) {
+  std::error_code ec;
+  const std::filesystem::path ca = std::filesystem::weakly_canonical(a, ec);
+  if (ec) return a == b;
+  const std::filesystem::path cb = std::filesystem::weakly_canonical(b, ec);
+  return ec ? a == b : ca == cb;
+}
+
 }  // namespace
+
+std::string gitDescribe() {
+  std::string git = "unknown";
+  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof(buf), p)) {
+      git = buf;
+      while (!git.empty() && (git.back() == '\n' || git.back() == '\r')) git.pop_back();
+    }
+    ::pclose(p);
+  }
+  return git;
+}
+
+int runSuite(const Registry& registry, const SuiteOptions& options, std::FILE* out,
+             std::FILE* err) {
+  const std::string historyPath =
+      options.historyPath.empty() ? options.outDir + "/BENCH_history.jsonl" : options.historyPath;
+  int exitCode = 0;
+  std::size_t regressions = 0;
+  for (const BenchSpec& spec : registry.all()) {
+    if (!options.only.empty() && spec.name != options.only) continue;
+    const char* name = spec.name.c_str();
+    std::fprintf(out, "=== %s ===\n", name);
+    BenchResult result = runBench(spec);
+
+    const long long now = static_cast<long long>(std::time(nullptr));
+    const std::string snapshotPath = options.outDir + "/BENCH_" + spec.name + ".json";
+    const std::string baselinePath = options.baselineDir + "/BENCH_" + spec.name + ".json";
+    // With --out-dir equal to --baseline-dir (the default) the snapshot
+    // lands on the baseline: read the baseline first, and let a failed run
+    // (whose metrics are not a measurement of the bench) leave it alone.
+    std::string baseline;
+    const bool haveBaseline = options.check && readFile(baselinePath, &baseline);
+    const bool snapshotIsBaseline = samePath(snapshotPath, baselinePath);
+    if ((result.ok || !snapshotIsBaseline) &&
+        !writeFile(snapshotPath, renderRecord(spec, result, options.git, now, /*pretty=*/true),
+                   "w")) {
+      std::fprintf(err, "cannot write snapshot '%s'\n", snapshotPath.c_str());
+      return 1;
+    }
+    if (!writeFile(historyPath,
+                   renderRecord(spec, result, options.git, now, /*pretty=*/false) + "\n", "a")) {
+      std::fprintf(err, "cannot append history '%s'\n", historyPath.c_str());
+      return 1;
+    }
+
+    if (!result.ok) {
+      std::fprintf(err, "%s: FAILED: %s%s\n", name, result.failure.c_str(),
+                   options.updateBaselines || snapshotIsBaseline ? " (baseline not updated)" : "");
+      exitCode = 1;
+      continue;
+    }
+    if (!options.check) {
+      std::fprintf(out, "%s: ok\n", name);
+    } else if (!haveBaseline) {
+      std::fprintf(out, "%s: ok (no baseline at %s — recorded, not gated)\n", name,
+                   baselinePath.c_str());
+    } else if (std::vector<RegressionIssue> issues = compareToBaseline(result, baseline);
+               issues.empty()) {
+      std::fprintf(out, "%s: ok (within baseline tolerances)\n", name);
+    } else {
+      std::string what;
+      for (const RegressionIssue& issue : issues)
+        what += (what.empty() ? "[" : "; [") + issue.metric + "]: " + issue.what;
+      std::fprintf(err, "%s: REGRESSION: %s\n", name, what.c_str());
+      regressions += issues.size();
+    }
+
+    if (options.updateBaselines) {
+      if (!writeFile(baselinePath, renderRecord(spec, result, options.git, now, /*pretty=*/true),
+                     "w")) {
+        std::fprintf(err, "cannot write baseline '%s'\n", baselinePath.c_str());
+        return 1;
+      }
+      std::fprintf(out, "%s: baseline -> %s\n", name, baselinePath.c_str());
+    }
+  }
+  if (regressions) {
+    std::fprintf(err, "%zu regression(s) against committed baselines\n", regressions);
+    return 2;
+  }
+  return exitCode;
+}
 
 const std::vector<std::string>& extraArgs() { return extraArgsStorage(); }
 void setExtraArgs(std::vector<std::string> args) { extraArgsStorage() = std::move(args); }
@@ -295,16 +406,7 @@ int standaloneMain(int argc, char** argv) {
   }
   setExtraArgs(std::move(extra));
 
-  std::string git = "unknown";
-  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    if (std::fgets(buf, sizeof(buf), p)) {
-      git = buf;
-      while (!git.empty() && (git.back() == '\n' || git.back() == '\r')) git.pop_back();
-    }
-    ::pclose(p);
-  }
-
+  const std::string git = gitDescribe();
   int exitCode = 0;
   for (const BenchSpec& spec : Registry::global().all()) {
     BenchResult result = runBench(spec);
@@ -315,15 +417,13 @@ int standaloneMain(int argc, char** argv) {
       exitCode = 1;
     }
     if (!snapshotPath.empty()) {
-      std::string record =
-          renderRecord(spec, result, git, static_cast<long long>(std::time(nullptr)), true);
-      FILE* f = std::fopen(snapshotPath.c_str(), "w");
-      if (!f || std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
+      if (!writeFile(snapshotPath,
+                     renderRecord(spec, result, git,
+                                  static_cast<long long>(std::time(nullptr)), true),
+                     "w")) {
         std::fprintf(stderr, "cannot write snapshot '%s'\n", snapshotPath.c_str());
-        if (f) std::fclose(f);
         return 2;
       }
-      std::fclose(f);
       std::fprintf(stderr, "snapshot -> %s\n", snapshotPath.c_str());
     }
   }

@@ -19,6 +19,7 @@
 // tools/bench_runner links every bench and drives the suite + gate.
 #pragma once
 
+#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
@@ -108,6 +109,30 @@ struct RegressionIssue {
 /// are reported as one issue so a corrupt baseline cannot silently pass.
 std::vector<RegressionIssue> compareToBaseline(const BenchResult& result,
                                                const std::string& baselineJson);
+
+/// `git describe --always --dirty` of the working directory ("unknown"
+/// outside a git checkout); stamped into every snapshot record.
+std::string gitDescribe();
+
+/// What tools/bench_runner asks of one suite run.
+struct SuiteOptions {
+  std::string only;              ///< run just this bench ("" = every bench)
+  bool check = false;            ///< gate each bench against its baseline
+  bool updateBaselines = false;  ///< rewrite baselines from passing runs
+  std::string baselineDir = ".";
+  std::string outDir = ".";
+  std::string historyPath;  ///< "" = <outDir>/BENCH_history.jsonl
+  std::string git = "unknown";
+};
+
+/// Runs the selected benches of `registry`, writes each one's snapshot and
+/// history line, and prints exactly one verdict line per bench: FAILED (its
+/// own contract; to `err`), REGRESSION (with `check`, every violated gate on
+/// the one line; to `err`) or ok (to `out`). A failed run is neither gated
+/// nor written as a baseline. Returns 0 ok; 1 a bench failed or a write
+/// failed; 2 the regression gate tripped.
+int runSuite(const Registry& registry, const SuiteOptions& options, std::FILE* out,
+             std::FILE* err);
 
 /// Extra command-line arguments forwarded by the entry points (micro-op
 /// benches pass --benchmark_* flags through to google-benchmark).

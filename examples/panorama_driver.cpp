@@ -48,7 +48,6 @@
 #include "panorama/obs/profile.h"
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/arena.h"
-#include "panorama/predicate/fm_incremental.h"
 #include "panorama/session/session.h"
 #include "panorama/store/daemon.h"
 #include "panorama/symbolic/arena.h"
@@ -73,7 +72,6 @@ int usage() {
                "       panorama_driver --corpus-run\n"
                "       panorama_driver [flags] <file.f> --reanalyze=EDITED.f\n"
                "flags: --no-symbolic --no-if-conditions --no-interprocedural\n"
-               "       --no-prefilter (FM-only queries: disable the abstract-domain tier)\n"
                "       --quantified --summaries --hsg --annotate\n"
                "       --threads=N (0 = all cores) --cache-capacity=N --no-cache --stats\n"
                "       --via-builder (ingest through the builder IR round-trip)\n"
@@ -279,8 +277,6 @@ int main(int argc, char** argv) {
       options.interprocedural = false;
     } else if (arg == "--quantified") {
       options.quantified = true;
-    } else if (arg == "--no-prefilter") {
-      options.prefilter = false;
     } else if (arg == "--summaries") {
       showSummaries = true;
     } else if (arg == "--hsg") {
@@ -574,9 +570,7 @@ int main(int argc, char** argv) {
   }
 
   QueryCache::global().configure(options.cacheCapacity);
-  setQueryTierEnabled(options.prefilter);
   clearSimplifyMemo();
-  clearFmEliminationCache();
   ThreadPool pool(options.numThreads);
   SummaryAnalyzer analyzer(*program, *sema, hsg, options);
   std::vector<LoopAnalysis> loops = analyzeProgramParallel(analyzer, pool);

@@ -71,7 +71,7 @@ struct LoopCost {
 
 /// One expensive cold query, lifted verbatim from its span.
 struct QueryCost {
-  std::string kind;  ///< "query.fm", "query.implies", or "query.prefilter"
+  std::string kind;  ///< "query.fm" or "query.implies"
   std::string name;
   std::int64_t durNs = 0;
   std::uint32_t tid = 0;

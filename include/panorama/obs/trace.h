@@ -28,7 +28,6 @@
 //   analysis.loop                           one LoopParallelizer::analyzeLoop
 //   deptest.loop                            conventional-test filter
 //   query.fm / query.implies                cold symbolic queries (cache misses)
-//   query.prefilter                         abstract-domain tier attempts (§4.6)
 #pragma once
 
 #include <atomic>

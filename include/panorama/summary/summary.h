@@ -30,10 +30,6 @@ struct AnalysisOptions {
   bool quantified = false;       ///< §5.2 ∀-guard extension (MDG `RL`)
   bool computeDE = true;         ///< §3.2.2 DE sets (skippable to save time)
   bool garSimplifier = true;     ///< ablation: GAR list cleanup
-  /// Two-level query tier in front of Fourier-Motzkin: the interval/
-  /// congruence pre-filter plus the memoized eliminator. Verdict-preserving
-  /// by construction; `--no-prefilter` turns it off for differential runs.
-  bool prefilter = true;
   SimplifyOptions simplify;      ///< predicate-simplifier budgets
 
   // ----- execution options (the parallel analysis driver) -----

@@ -12,7 +12,6 @@
 #include "panorama/frontend/parser.h"
 #include "panorama/hsg/hsg.h"
 #include "panorama/obs/trace.h"
-#include "panorama/predicate/fm_incremental.h"
 
 namespace panorama {
 
@@ -163,14 +162,7 @@ void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, CorpusIngest ingest) {
   obs::Span span("corpus.run", "perfect corpus");
   QueryCache::global().configure(options.cacheCapacity);
-  setQueryTierEnabled(options.prefilter);
   clearSimplifyMemo();  // fresh counters; the memo is capacity-gated too
-  // The FM elimination cache is deliberately NOT cleared here: its verdicts
-  // are pure functions of (system, budget), so entries from earlier runs in
-  // the same process are always reusable (capacity and the QueryCache epoch
-  // bound it). Long-lived processes analyzing repeatedly get warm
-  // eliminations; tests and benches call clearFmEliminationCache() when
-  // they need a cold run.
   ThreadPool pool(options.numThreads);
 
   const std::vector<CorpusLoop>& corpus = perfectCorpus();

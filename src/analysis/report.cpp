@@ -8,7 +8,6 @@
 #include "panorama/analysis/analysis.h"
 #include "panorama/analysis/driver.h"
 #include "panorama/obs/metrics.h"
-#include "panorama/predicate/fm_incremental.h"
 
 namespace panorama {
 
@@ -143,15 +142,6 @@ void publishCorpusMetrics(const CorpusAnalysisResult& result, obs::MetricsRegist
   registry.counter("simplify_memo.misses").set(result.simplifyStats.misses);
   registry.counter("simplify_memo.entries").set(result.simplifyStats.entries);
   registry.counter("simplify_memo.evictions").set(result.simplifyStats.evictions);
-
-  // Elimination-cache counters of the query tier. The query.prefilter.*
-  // counters are live (incremented at the query sites); these are snapshot
-  // here like the other cache blocks.
-  FmCacheStats fm = fmEliminationStats();
-  registry.counter("fm_cache.hits").set(fm.hits);
-  registry.counter("fm_cache.misses").set(fm.misses);
-  registry.counter("fm_cache.entries").set(fm.entries);
-  registry.counter("fm_cache.evictions").set(fm.evictions);
 }
 
 std::string formatCorpusStats(const CorpusAnalysisResult& result) {

@@ -39,7 +39,6 @@
 #include "panorama/frontend/parser.h"
 #include "panorama/obs/metrics.h"
 #include "panorama/obs/trace.h"
-#include "panorama/predicate/fm_incremental.h"
 #include "panorama/support/memo_cache.h"
 
 namespace panorama {
@@ -82,7 +81,6 @@ std::vector<const Stmt*> collectItemLoops(const Stmt& item) {
 AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
   optionsKey_ = optionsKey(options_);
   QueryCache::global().configure(options_.cacheCapacity);
-  setQueryTierEnabled(options_.prefilter);
   ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
   pool_ = ownedPool_.get();
 }
@@ -91,7 +89,6 @@ AnalysisSession::AnalysisSession(AnalysisOptions options, ThreadPool* sharedPool
     : options_(options) {
   optionsKey_ = optionsKey(options_);
   QueryCache::global().configure(options_.cacheCapacity);
-  setQueryTierEnabled(options_.prefilter);
   pool_ = sharedPool;
 }
 
@@ -109,7 +106,6 @@ std::uint64_t AnalysisSession::optionsKey(const AnalysisOptions& options) {
   mix(options.quantified);
   mix(options.computeDE);
   mix(options.garSimplifier);
-  mix(options.prefilter);
   mix(options.simplify.maxClauses);
   mix(options.simplify.maxAtomsPerClause);
   mix(options.simplify.useFourierMotzkin);
@@ -134,11 +130,10 @@ void AnalysisSession::setOptions(const AnalysisOptions& options) {
     pool_ = ownedPool_.get();
   }
   if (capacityChanged) QueryCache::global().configure(options_.cacheCapacity);
-  setQueryTierEnabled(options_.prefilter);
   if (ablationChanged) {
     // Cached verdicts were answered under the old budgets: one epoch bump
-    // retires every entry of the query cache, the simplify memo, and the FM
-    // elimination cache (all tagged with the same epoch) in O(1).
+    // retires every entry of the query cache and the simplify memo (both
+    // tagged with the same epoch) in O(1).
     QueryCache::global().bumpEpoch();
     // units_ carries unitsOptionsKey_; the mismatch with optionsKey_ makes
     // the next submit a full invalidation.

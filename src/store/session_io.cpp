@@ -33,7 +33,6 @@
 
 #include "panorama/analysis/driver.h"
 #include "panorama/predicate/arena.h"
-#include "panorama/predicate/fm_incremental.h"
 #include "panorama/session/session.h"
 #include "panorama/symbolic/arena.h"
 
@@ -661,7 +660,7 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path,
   head.u8(options_.quantified ? 1 : 0);
   head.u8(options_.computeDE ? 1 : 0);
   head.u8(options_.garSimplifier ? 1 : 0);
-  head.u8(options_.prefilter ? 1 : 0);
+  head.u8(1);  // reserved (was the prefilter option); readers ignore it
   head.u64(options_.simplify.maxClauses);
   head.u64(options_.simplify.maxAtomsPerClause);
   head.u8(options_.simplify.useFourierMotzkin ? 1 : 0);
@@ -836,7 +835,7 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   opts.quantified = r.u8() != 0;
   opts.computeDE = r.u8() != 0;
   opts.garSimplifier = r.u8() != 0;
-  opts.prefilter = r.u8() != 0;
+  r.u8();  // reserved head byte (see save): ignored
   opts.simplify.maxClauses = static_cast<std::size_t>(r.u64());
   opts.simplify.maxAtomsPerClause = static_cast<std::size_t>(r.u64());
   opts.simplify.useFourierMotzkin = r.u8() != 0;
@@ -1066,7 +1065,6 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   lastStats_.epoch = epoch_;
   lastStats_.procedures = program_.procedures.size();
   lastStats_.fileSkips = fileSkips_;
-  setQueryTierEnabled(options_.prefilter);
 
   out.ok = true;
   return out;

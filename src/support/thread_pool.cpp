@@ -19,7 +19,12 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under wakeMutex_: a worker between its predicate check and its wait
+    // would otherwise miss this notify and never reach join.
+    std::lock_guard<std::mutex> lock(wakeMutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   wake_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
@@ -101,6 +106,8 @@ void ThreadPool::runBatch(std::vector<std::function<void()>> tasks) {
     }
     queued_.fetch_add(tasks.size(), std::memory_order_relaxed);
   }
+  // Same handshake as the destructor, so no sleeping worker misses the batch.
+  { std::lock_guard<std::mutex> lock(wakeMutex_); }
   wake_.notify_all();
 
   // Help until this batch drains. Executing unrelated tasks here is fine —

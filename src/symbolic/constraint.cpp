@@ -5,8 +5,6 @@
 #include "panorama/obs/metrics.h"
 #include "panorama/obs/provenance.h"
 #include "panorama/obs/trace.h"
-#include "panorama/predicate/absdom.h"
-#include "panorama/predicate/fm_incremental.h"
 #include "panorama/support/memo_cache.h"
 
 namespace panorama {
@@ -88,13 +86,6 @@ std::string renderConstraints(const std::vector<LinearConstraint>& constraints) 
   return out;
 }
 
-/// Tier 2 dispatch: with the tier on, eliminations go through the memoizing
-/// entry point (verdict-identical to the classic one by construction).
-Truth fmDecide(std::vector<AffineForm> system, const FmBudget& budget) {
-  return queryTierEnabled() ? fourierMotzkinInfeasibleMemo(std::move(system), budget)
-                            : fourierMotzkinInfeasible(std::move(system), budget);
-}
-
 }  // namespace
 
 Truth ConstraintSet::contradictory(const FmBudget& budget) const {
@@ -104,14 +95,9 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
   QueryCache& cache = QueryCache::global();
   std::vector<std::uint64_t> key;
   if (cache.enabled()) {
-    key.reserve(3 + constraints_.size() * 6);
+    key.reserve(2 + constraints_.size() * 6);
     key.push_back(budget.maxConstraints);
     key.push_back(budget.maxVariables);
-    // The tier mode is part of the key: the pre-filter may answer False
-    // (witness found) where the classic engine answers Unknown, and raw
-    // verdicts must never leak across modes (differential runs share the
-    // process-global cache).
-    key.push_back(queryTierEnabled() ? 1 : 0);
     for (const LinearConstraint& c : constraints_) {
       key.push_back(static_cast<std::uint64_t>(c.kind));
       key.push_back(c.form.overflow ? 1 : 0);
@@ -130,28 +116,6 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
 }
 
 Truth ConstraintSet::contradictoryUncached(const FmBudget& budget) const {
-  // Tier 1: the interval/congruence pre-filter. It either discharges the
-  // query (exact mirror of the classic screening, or a verified integer
-  // witness — never a weaker verdict) or declines, in which case the
-  // precise engine below runs as the final authority.
-  if (queryTierEnabled()) {
-    static obs::Counter& attempts =
-        obs::MetricsRegistry::global().counter("query.prefilter.attempts");
-    static obs::Counter& hits = obs::MetricsRegistry::global().counter("query.prefilter.hits");
-    static obs::Counter& fallbacks =
-        obs::MetricsRegistry::global().counter("query.prefilter.fallbacks");
-    attempts.add();
-    obs::Span prefilterSpan("query.prefilter", "ConstraintSet::contradictory");
-    if (prefilterSpan.active())
-      prefilterSpan.arg("constraints", std::to_string(constraints_.size()));
-    if (auto verdict = absdom::tryDischarge(constraints_, budget)) {
-      hits.add();
-      if (prefilterSpan.active()) prefilterSpan.arg("verdict", toString(*verdict));
-      return *verdict;
-    }
-    fallbacks.add();
-    if (prefilterSpan.active()) prefilterSpan.arg("verdict", "declined");
-  }
   // Cold FM evaluations are traced and report Unknown verdicts into the
   // active provenance scope (memoized verdicts skip this path entirely).
   obs::Span span("query.fm", "ConstraintSet::contradictory");
@@ -209,16 +173,16 @@ Truth ConstraintSet::contradictoryCold(const FmBudget& budget) const {
       AffineForm dl = d;
       dl.constant += 1;  // d + 1 <= 0, i.e. d <= -1
       lower.push_back(std::move(dl));
-      if (fmDecide(std::move(lower), budget) != Truth::True) continue;
+      if (fourierMotzkinInfeasible(std::move(lower), budget) != Truth::True) continue;
       std::vector<AffineForm> upper = system;
       AffineForm du = d.scaled(-1);
       du.constant += 1;  // -d + 1 <= 0, i.e. d >= 1
       upper.push_back(std::move(du));
-      if (fmDecide(std::move(upper), budget) == Truth::True)
+      if (fourierMotzkinInfeasible(std::move(upper), budget) == Truth::True)
         return Truth::True;  // pinned to the excluded value
     }
   }
-  return fmDecide(std::move(system), budget);
+  return fourierMotzkinInfeasible(std::move(system), budget);
 }
 
 Truth ConstraintSet::impliesLE0(const SymExpr& e, const FmBudget& budget) const {

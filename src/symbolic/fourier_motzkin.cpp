@@ -8,14 +8,12 @@
 // derived inequality is tightened by its coefficient gcd, which catches many
 // integer-only contradictions (e.g. 1 <= 2x <= 1).
 //
-// The engine is factored into screen/eliminateOne steps (fmdetail) shared
-// with the memoizing entry point in predicate/fm_incremental.cpp, and the
-// system is kept canonically ordered and duplicate-free between steps so
-// memoized and cold eliminations walk identical derivations.
+// Between elimination steps the system is kept canonically ordered and
+// duplicate-free, so the derivation is a function of the system's content,
+// not of the order its rows arrived in.
 #include <algorithm>
-#include <numeric>
+#include <optional>
 
-#include "panorama/predicate/fm_incremental.h"
 #include "panorama/symbolic/constraint.h"
 
 namespace panorama {
@@ -39,8 +37,7 @@ bool mulChecked(std::int64_t a, std::int64_t b, std::int64_t& out) {
 /// operations — every product and pairwise sum either chain computes is
 /// computed and range-checked here, no more and no fewer (x's coefficients
 /// are excluded from both, exactly as extractVar-before-scaled excluded
-/// them), so memoized and cold eliminations still walk identical
-/// derivations.
+/// them).
 bool combineInto(const AffineForm& lower, std::int64_t b, const AffineForm& upper, std::int64_t a,
                  VarId skip, AffineForm& out) {
   out.coeffs.clear();
@@ -96,10 +93,7 @@ bool combineInto(const AffineForm& lower, std::int64_t b, const AffineForm& uppe
 
 bool constantInfeasible(const AffineForm& f) { return f.coeffs.empty() && f.constant > 0; }
 
-}  // namespace
-
-namespace fmdetail {
-
+/// Sort by (coeffs, constant) and remove exact duplicates.
 void canonOrder(std::vector<AffineForm>& system) {
   std::sort(system.begin(), system.end(), [](const AffineForm& a, const AffineForm& b) {
     if (a.coeffs != b.coeffs) return a.coeffs < b.coeffs;
@@ -108,6 +102,8 @@ void canonOrder(std::vector<AffineForm>& system) {
   system.erase(std::unique(system.begin(), system.end()), system.end());
 }
 
+/// Entry screen: tighten, answer on overflow/violated constants, drop
+/// constant rows, then sort + dedup. nullopt means "run the elimination".
 std::optional<Truth> screen(std::vector<AffineForm>& system) {
   for (AffineForm& f : system) {
     if (f.overflow) return Truth::Unknown;
@@ -119,9 +115,9 @@ std::optional<Truth> screen(std::vector<AffineForm>& system) {
   return std::nullopt;
 }
 
-/// The distinct variables of `system`, ascending, built by sorted insertion
+/// The number of distinct variables of `system`, counted by sorted insertion
 /// (systems are small, so this beats collect + sort + unique).
-std::vector<VarId> distinctVars(const std::vector<AffineForm>& system) {
+std::size_t countVars(const std::vector<AffineForm>& system) {
   std::vector<VarId> vars;
   vars.reserve(8);
   for (const AffineForm& f : system)
@@ -129,11 +125,15 @@ std::vector<VarId> distinctVars(const std::vector<AffineForm>& system) {
       auto it = std::lower_bound(vars.begin(), vars.end(), v);
       if (it == vars.end() || *it != v) vars.insert(it, v);
     }
-  return vars;
+  return vars.size();
 }
 
-std::size_t countVars(const std::vector<AffineForm>& system) { return distinctVars(system).size(); }
+struct StepResult {
+  std::optional<Truth> verdict;  ///< set when the step decided the system
+  std::vector<AffineForm> next;  ///< otherwise: the reduced system, canonical
+};
 
+/// One greedy variable elimination with the budget/overflow checks.
 StepResult eliminateOne(std::vector<AffineForm> system, const FmBudget& budget) {
   if (system.size() > budget.maxConstraints) return {Truth::Unknown, {}};
 
@@ -204,27 +204,16 @@ StepResult eliminateOne(std::vector<AffineForm> system, const FmBudget& budget) 
   return {std::nullopt, std::move(rest)};
 }
 
-void anonymizeVars(std::vector<AffineForm>& system) {
-  std::vector<VarId> vars = distinctVars(system);
-  if (!vars.empty() && vars.back().value == vars.size() - 1) return;  // already dense from 0
-  for (AffineForm& f : system)
-    for (auto& [v, c] : f.coeffs) {
-      auto it = std::lower_bound(vars.begin(), vars.end(), v);
-      v = VarId{static_cast<std::uint32_t>(it - vars.begin())};
-    }
-  // The rank map is monotone, so the canonical sort order is untouched.
-}
-
-}  // namespace fmdetail
+}  // namespace
 
 Truth fourierMotzkinInfeasible(std::vector<AffineForm> system, const FmBudget& budget) {
-  if (auto verdict = fmdetail::screen(system)) return *verdict;
-  if (fmdetail::countVars(system) > budget.maxVariables) return Truth::Unknown;
+  if (auto verdict = screen(system)) return *verdict;
+  if (countVars(system) > budget.maxVariables) return Truth::Unknown;
 
   // Invariant: every row of a screened system mentions a variable, so an
   // empty system means every combination closed without a contradiction.
   while (!system.empty()) {
-    fmdetail::StepResult step = fmdetail::eliminateOne(std::move(system), budget);
+    StepResult step = eliminateOne(std::move(system), budget);
     if (step.verdict) return *step.verdict;
     system = std::move(step.next);
   }

@@ -1,8 +1,13 @@
 // The unified bench harness: per-repetition aggregation, hard min/max
 // contracts, the snapshot record schema, and the baseline regression gate
 // (including the tolerance and direction semantics the gate is built on and
-// the corrupt-baseline-cannot-pass rule).
+// the corrupt-baseline-cannot-pass rule), and the suite driver's one verdict
+// line per bench.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "harness.h"
 #include "panorama/support/json.h"
@@ -240,6 +245,136 @@ TEST(BaselineGateTest, CorruptBaselineCannotSilentlyPass) {
   EXPECT_FALSE(compareToBaseline(current, "not json{").empty());
   // Old-schema snapshots (no "metrics" object) must also refuse to gate.
   EXPECT_FALSE(compareToBaseline(current, "{\"schema_version\": 0}").empty());
+}
+
+// --- the suite driver -------------------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::string drain(std::FILE* f) {
+  std::string text;
+  std::rewind(f);
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+/// Output lines that start with "<bench>: " (the verdict and baseline
+/// lines; the "=== <bench> ===" header does not match).
+std::vector<std::string> linesOf(const std::string& text, const std::string& bench) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind(bench + ": ", 0) == 0) lines.push_back(line);
+  return lines;
+}
+
+struct SuiteRun {
+  int exitCode = 0;
+  std::string out;
+  std::string err;
+};
+
+SuiteRun runSuiteCaptured(const Registry& registry, const SuiteOptions& options) {
+  std::FILE* out = std::tmpfile();
+  std::FILE* err = std::tmpfile();
+  SuiteRun run;
+  run.exitCode = runSuite(registry, options, out, err);
+  run.out = drain(out);
+  run.err = drain(err);
+  std::remove((options.outDir + "/BENCH_history.jsonl").c_str());
+  return run;
+}
+
+SuiteOptions suiteOptionsIn(const std::string& dir) {
+  SuiteOptions options;
+  options.check = true;
+  options.baselineDir = dir;
+  options.outDir = dir;
+  return options;
+}
+
+TEST(RunSuiteTest, FailedBenchGetsOneVerdictAndKeepsItsBaseline) {
+  const std::string dir = testing::TempDir();
+  Registry registry;
+  registry.add(specOf("suite_broken", 1, [] {
+    BenchResult r;
+    r.add("ms", 1.0);
+    r.fail("fingerprints diverged");
+    return r;
+  }));
+  BenchResult committed;
+  committed.add("ms", 1.0);
+  const std::string baselinePath = dir + "/BENCH_suite_broken.json";
+  const std::string baseline = baselineFor(committed);
+  std::ofstream(baselinePath, std::ios::binary | std::ios::trunc) << baseline;
+
+  SuiteOptions options = suiteOptionsIn(dir);
+  options.updateBaselines = true;
+  SuiteRun run = runSuiteCaptured(registry, options);
+
+  EXPECT_EQ(run.exitCode, 1);
+  const std::vector<std::string> lines = linesOf(run.out + run.err, "suite_broken");
+  ASSERT_EQ(lines.size(), 1u) << run.out << run.err;
+  EXPECT_NE(lines[0].find("FAILED: fingerprints diverged"), std::string::npos) << lines[0];
+  EXPECT_EQ(slurp(baselinePath), baseline) << "a failed run must not become the baseline";
+  std::remove(baselinePath.c_str());
+}
+
+TEST(RunSuiteTest, RegressionsShareOneVerdictLine) {
+  const std::string dir = testing::TempDir();
+  Registry registry;
+  registry.add(specOf("suite_slow", 1, [] {
+    BenchResult r;
+    r.add("a_ms", 10.0, Direction::LowerIsBetter, 0.1);
+    r.add("b_ms", 10.0, Direction::LowerIsBetter, 0.1);
+    return r;
+  }));
+  BenchResult committed;
+  committed.add("a_ms", 1.0, Direction::LowerIsBetter, 0.1);
+  committed.add("b_ms", 1.0, Direction::LowerIsBetter, 0.1);
+  const std::string baselinePath = dir + "/BENCH_suite_slow.json";
+  std::ofstream(baselinePath, std::ios::binary | std::ios::trunc) << baselineFor(committed);
+
+  SuiteRun run = runSuiteCaptured(registry, suiteOptionsIn(dir));
+
+  EXPECT_EQ(run.exitCode, 2);
+  const std::vector<std::string> lines = linesOf(run.out + run.err, "suite_slow");
+  ASSERT_EQ(lines.size(), 1u) << run.out << run.err;
+  EXPECT_NE(lines[0].find("REGRESSION: [a_ms]"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("; [b_ms]"), std::string::npos) << lines[0];
+  std::remove(baselinePath.c_str());
+}
+
+TEST(RunSuiteTest, PassingBenchIsOkAndUpdatesItsBaseline) {
+  const std::string dir = testing::TempDir();
+  Registry registry;
+  registry.add(specOf("suite_fine", 1, [] {
+    BenchResult r;
+    r.add("ms", 1.0);
+    return r;
+  }));
+  const std::string baselinePath = dir + "/BENCH_suite_fine.json";
+  std::remove(baselinePath.c_str());
+
+  SuiteOptions options = suiteOptionsIn(dir);
+  options.updateBaselines = true;
+  SuiteRun run = runSuiteCaptured(registry, options);
+
+  EXPECT_EQ(run.exitCode, 0) << run.err;
+  const std::vector<std::string> lines = linesOf(run.out + run.err, "suite_fine");
+  ASSERT_EQ(lines.size(), 2u) << run.out << run.err;
+  EXPECT_NE(lines[0].find("ok (no baseline at"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("baseline -> "), std::string::npos) << lines[1];
+  EXPECT_FALSE(slurp(baselinePath).empty());
+  std::remove(baselinePath.c_str());
 }
 
 TEST(RegistryTest, FindLocatesRegisteredSpecs) {

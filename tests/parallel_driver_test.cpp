@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -306,6 +309,26 @@ TEST(ParallelDriverTest, CallGraphWavesRespectCallDepth) {
   EXPECT_EQ(waves[1][0]->name, "mid");
   ASSERT_EQ(waves[2].size(), 1u);
   EXPECT_EQ(waves[2][0]->name, "top");
+}
+
+TEST(ParallelDriverTest, PoolShutdownWakesEveryIdleWorker) {
+  // A pool destroyed right after a batch has workers racing into their idle
+  // wait; a stop notify that slips past one of them left the destructor
+  // joining forever. The churn runs on its own thread so a hang fails here
+  // instead of stalling the suite.
+  std::packaged_task<void()> churn([] {
+    for (int i = 0; i < 20000; ++i) {
+      ThreadPool pool(4);
+      pool.runBatch(std::vector<std::function<void()>>(8, [] {}));
+    }
+  });
+  std::future<void> finished = churn.get_future();
+  std::thread runner(std::move(churn));
+  if (finished.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    runner.detach();
+    FAIL() << "a ThreadPool destructor never returned";
+  }
+  runner.join();
 }
 
 }  // namespace

@@ -305,9 +305,7 @@ TEST_F(ProfilePipelineTest, TopQueriesCarryRenderedExpressionsFromTheRealPipelin
   ASSERT_FALSE(p.topQueries.empty());
   bool anyExpr = false;
   for (const obs::QueryCost& qc : p.topQueries) {
-    EXPECT_TRUE(qc.kind == "query.fm" || qc.kind == "query.implies" ||
-                qc.kind == "query.prefilter")
-        << qc.kind;
+    EXPECT_TRUE(qc.kind == "query.fm" || qc.kind == "query.implies") << qc.kind;
     anyExpr = anyExpr || !qc.expr.empty();
   }
   EXPECT_TRUE(anyExpr) << "no top query carried a rendered expression";

@@ -175,6 +175,38 @@ TEST(StoreTest, RestoredSessionServesByteIdenticalResubmitViaFastPath) {
   EXPECT_EQ(render(cold), render(skip));
 }
 
+TEST(StoreTest, ReservedHeadByteIsIgnoredOnRestore) {
+  CacheGuard guard;
+  FileGuard snap{tempPath("store_reserved.pano")};
+  AnalysisOptions options;
+  options.numThreads = 1;
+
+  AnalysisSession saver(options);
+  SessionResult cold = saver.submit(kBase);
+  ASSERT_TRUE(cold.ok);
+  ASSERT_TRUE(saver.save(snap.path).ok);
+
+  // Byte 6 of the v2 head (after the six analysis switches) once held an
+  // option and is now reserved: writers put 1 there, but older snapshots
+  // may carry 0. Rewrite it as 0 under a valid integrity hash.
+  std::string payload;
+  std::uint32_t version = 0;
+  ASSERT_TRUE(store::readSnapshotFile(snap.path, payload, version).ok);
+  ASSERT_GT(payload.size(), 6u);
+  EXPECT_EQ(payload[6], 1);
+  payload[6] = 0;
+  ASSERT_TRUE(store::writeSnapshotFile(snap.path, payload, version).ok);
+
+  AnalysisSession restored(options);
+  store::StoreResult r = restored.restore(snap.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  SessionResult again = restored.submit(kBase);
+  ASSERT_TRUE(again.ok);
+  EXPECT_EQ(again.stats.dirty, 0u);
+  EXPECT_EQ(again.stats.fileSkips, 1u);
+  EXPECT_EQ(render(cold), render(again));
+}
+
 TEST(StoreTest, SaveRequiresALiveSession) {
   FileGuard snap{tempPath("store_dead.pano")};
   AnalysisSession session;

@@ -134,6 +134,10 @@ TEST_F(SymbolicTest, FmDetectsSimpleContradiction) {
   ASSERT_TRUE(cs.addExprLE0(X - 5));       // x <= 5
   ASSERT_TRUE(cs.addExprLE0(-X + 6));      // x >= 6
   EXPECT_EQ(cs.contradictory(), Truth::True);
+  // An all-constant violated row (5 <= 0) is decided before any elimination.
+  ConstraintSet constant;
+  ASSERT_TRUE(constant.addExprLE0(SymExpr::constant(5)));
+  EXPECT_EQ(constant.contradictory(), Truth::True);
 }
 
 TEST_F(SymbolicTest, FmFeasibleSystem) {
@@ -158,6 +162,10 @@ TEST_F(SymbolicTest, FmTransitiveChain) {
   ASSERT_TRUE(cs.addExprLE0(Y - Z));
   ASSERT_TRUE(cs.addExprLE0(Z - X + 1));
   EXPECT_EQ(cs.contradictory(), Truth::True);
+  // The same system over a two-constraint budget is not decided.
+  FmBudget tiny;
+  tiny.maxConstraints = 2;
+  EXPECT_EQ(cs.contradictory(tiny), Truth::Unknown);
 }
 
 TEST_F(SymbolicTest, FmEqualityLowering) {
@@ -172,6 +180,12 @@ TEST_F(SymbolicTest, DisequalityClash) {
   ASSERT_TRUE(cs.addExprEQ0(X - Y));
   ASSERT_TRUE(cs.addExprNE0(X - Y));
   EXPECT_EQ(cs.contradictory(), Truth::True);
+  // 0 <= x <= 1 with x != 0 still holds x = 1: not contradictory.
+  ConstraintSet avoided;
+  ASSERT_TRUE(avoided.addExprLE0(-X));
+  ASSERT_TRUE(avoided.addExprLE0(X - 1));
+  ASSERT_TRUE(avoided.addExprNE0(X));
+  EXPECT_EQ(avoided.contradictory(), Truth::False);
 }
 
 TEST_F(SymbolicTest, ImpliesLE0) {
@@ -192,6 +206,12 @@ TEST_F(SymbolicTest, NonAffineRejected) {
   ConstraintSet cs;
   EXPECT_FALSE(cs.addExprLE0(X * Y));
   EXPECT_EQ(cs.impliesLE0(X * Y - 1), Truth::Unknown);
+  // An overflow-poisoned form is unusable data too: Unknown, not a verdict.
+  AffineForm poisoned = *AffineForm::fromExpr(X);
+  poisoned.overflow = true;
+  ConstraintSet overflowed;
+  overflowed.add({poisoned, ConstraintKind::LE0});
+  EXPECT_EQ(overflowed.contradictory(), Truth::Unknown);
 }
 
 TEST_F(SymbolicTest, FreshVariablesAreDistinct) {

@@ -8,17 +8,17 @@
 //     --list                print registered bench names and exit
 //     --only=NAME           run just one bench
 //     --check               gate against baselines; exit 2 on regression
-//     --update-baselines    rewrite the baseline snapshots from this run
+//     --update-baselines    rewrite the baseline snapshots from this run's
+//                           passing benches (a FAILED bench keeps its baseline)
 //     --baseline-dir=DIR    where committed BENCH_*.json baselines live (.)
 //     --out-dir=DIR         where snapshots + history are written (.)
 //     --history=FILE        history path (default <out-dir>/BENCH_history.jsonl)
 //     --benchmark_*         forwarded to google-benchmark (micro-ops)
 //
+// Every bench gets exactly one verdict line: FAILED, REGRESSION or ok.
 // Exit status: 0 ok; 1 a bench failed its own contract (or a write failed);
 // 2 the regression gate tripped.
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -26,49 +26,9 @@
 
 using namespace panorama::bench;
 
-namespace {
-
-std::string gitDescribe() {
-  std::string git = "unknown";
-  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    if (std::fgets(buf, sizeof(buf), p)) {
-      git = buf;
-      while (!git.empty() && (git.back() == '\n' || git.back() == '\r')) git.pop_back();
-    }
-    ::pclose(p);
-  }
-  return git;
-}
-
-bool readFile(const std::string& path, std::string* out) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  char buf[4096];
-  std::size_t n;
-  out->clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
-bool writeFile(const std::string& path, const std::string& text, const char* mode) {
-  FILE* f = std::fopen(path.c_str(), mode);
-  if (!f) return false;
-  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bool list = false;
-  bool check = false;
-  bool updateBaselines = false;
-  std::string only;
-  std::string baselineDir = ".";
-  std::string outDir = ".";
-  std::string historyPath;
+  SuiteOptions options;
   std::vector<std::string> forwarded;
   for (int k = 1; k < argc; ++k) {
     std::string_view arg = argv[k];
@@ -76,17 +36,17 @@ int main(int argc, char** argv) {
     if (arg == "--list") {
       list = true;
     } else if (arg == "--check") {
-      check = true;
+      options.check = true;
     } else if (arg == "--update-baselines") {
-      updateBaselines = true;
+      options.updateBaselines = true;
     } else if (arg.rfind("--only=", 0) == 0) {
-      only = value("--only=");
+      options.only = value("--only=");
     } else if (arg.rfind("--baseline-dir=", 0) == 0) {
-      baselineDir = value("--baseline-dir=");
+      options.baselineDir = value("--baseline-dir=");
     } else if (arg.rfind("--out-dir=", 0) == 0) {
-      outDir = value("--out-dir=");
+      options.outDir = value("--out-dir=");
     } else if (arg.rfind("--history=", 0) == 0) {
-      historyPath = value("--history=");
+      options.historyPath = value("--history=");
     } else if (arg.rfind("--benchmark_", 0) == 0) {
       forwarded.emplace_back(arg);
     } else {
@@ -95,67 +55,16 @@ int main(int argc, char** argv) {
     }
   }
   setExtraArgs(std::move(forwarded));
-  if (historyPath.empty()) historyPath = outDir + "/BENCH_history.jsonl";
 
   if (list) {
     for (const BenchSpec& spec : Registry::global().all()) std::printf("%s\n", spec.name.c_str());
     return 0;
   }
-  if (!only.empty() && !Registry::global().find(only)) {
-    std::fprintf(stderr, "no bench named '%s' (see --list)\n", only.c_str());
+  if (!options.only.empty() && !Registry::global().find(options.only)) {
+    std::fprintf(stderr, "no bench named '%s' (see --list)\n", options.only.c_str());
     return 1;
   }
 
-  const std::string git = gitDescribe();
-  int exitCode = 0;
-  std::size_t regressions = 0;
-  for (const BenchSpec& spec : Registry::global().all()) {
-    if (!only.empty() && spec.name != only) continue;
-    std::printf("=== %s ===\n", spec.name.c_str());
-    BenchResult result = runBench(spec);
-    if (!result.ok) {
-      std::fprintf(stderr, "%s: FAILED: %s\n", spec.name.c_str(), result.failure.c_str());
-      exitCode = exitCode ? exitCode : 1;
-    }
-
-    const long long now = static_cast<long long>(std::time(nullptr));
-    const std::string snapshotPath = outDir + "/BENCH_" + spec.name + ".json";
-    if (!writeFile(snapshotPath, renderRecord(spec, result, git, now, /*pretty=*/true), "w")) {
-      std::fprintf(stderr, "cannot write snapshot '%s'\n", snapshotPath.c_str());
-      return 1;
-    }
-    if (!writeFile(historyPath, renderRecord(spec, result, git, now, /*pretty=*/false) + "\n",
-                   "a")) {
-      std::fprintf(stderr, "cannot append history '%s'\n", historyPath.c_str());
-      return 1;
-    }
-
-    const std::string baselinePath = baselineDir + "/BENCH_" + spec.name + ".json";
-    if (check) {
-      std::string baseline;
-      if (!readFile(baselinePath, &baseline)) {
-        std::printf("%s: no baseline at %s — recorded, not gated\n", spec.name.c_str(),
-                    baselinePath.c_str());
-      } else {
-        std::vector<RegressionIssue> issues = compareToBaseline(result, baseline);
-        for (const RegressionIssue& issue : issues)
-          std::fprintf(stderr, "%s: REGRESSION [%s]: %s\n", spec.name.c_str(),
-                       issue.metric.c_str(), issue.what.c_str());
-        regressions += issues.size();
-        if (issues.empty()) std::printf("%s: within baseline tolerances\n", spec.name.c_str());
-      }
-    }
-    if (updateBaselines) {
-      if (!writeFile(baselinePath, renderRecord(spec, result, git, now, /*pretty=*/true), "w")) {
-        std::fprintf(stderr, "cannot write baseline '%s'\n", baselinePath.c_str());
-        return 1;
-      }
-      std::printf("%s: baseline -> %s\n", spec.name.c_str(), baselinePath.c_str());
-    }
-  }
-  if (regressions) {
-    std::fprintf(stderr, "%zu regression(s) against committed baselines\n", regressions);
-    return 2;
-  }
-  return exitCode;
+  options.git = gitDescribe();
+  return runSuite(Registry::global(), options, stdout, stderr);
 }
