@@ -131,10 +131,9 @@ bool writeObsArtifacts(const std::string& tracePath, const std::string& metricsP
     obs::CostProfile profile = obs::buildCostProfile(obs::Tracer::global().snapshot());
     const QueryCache::Stats qc = QueryCache::global().stats();
     const QueryCache::Stats memo = simplifyMemoStats();
-    profile.caches.push_back({"query cache", qc.hits, qc.misses, qc.entries, qc.evictions,
-                              qc.evictedStale, qc.evictedLive});
+    profile.caches.push_back({"query cache", qc.hits, qc.misses, qc.entries, qc.evictions});
     profile.caches.push_back({"simplify memo", memo.hits, memo.misses, memo.entries,
-                              memo.evictions, memo.evictedStale, memo.evictedLive});
+                              memo.evictions});
     profile.sessions = sessions;
     const std::string json = obs::renderCostProfileJson(profile);
     FILE* f = std::fopen(profilePath.c_str(), "w");
@@ -202,8 +201,6 @@ void publishFileRunMetrics(const SummaryStats& s, const QueryCache::Stats& qc,
   reg.counter("query_cache.misses").set(qc.misses);
   reg.counter("query_cache.entries").set(qc.entries);
   reg.counter("query_cache.evictions").set(qc.evictions);
-  reg.counter("query_cache.evicted_stale").set(qc.evictedStale);
-  reg.counter("query_cache.evicted_live").set(qc.evictedLive);
   reg.counter("simplify_memo.hits").set(memo.hits);
   reg.counter("simplify_memo.misses").set(memo.misses);
   reg.counter("simplify_memo.entries").set(memo.entries);
@@ -569,7 +566,9 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A single-file run is cold: both memos start empty, with fresh counters.
   QueryCache::global().configure(options.cacheCapacity);
+  QueryCache::global().clear();
   clearSimplifyMemo();
   ThreadPool pool(options.numThreads);
   SummaryAnalyzer analyzer(*program, *sema, hsg, options);

@@ -94,7 +94,7 @@ class PredRef {
   /// clause/atom dedup, pairwise subsumption, contradiction detection (the
   /// paper's predicate simplifier). The result is a pure function of
   /// (predicate, opts) and is memoized — keyed by the 8-byte arena id — in
-  /// a bounded global value cache gated by QueryCache::global()'s capacity.
+  /// a bounded global MemoCache sized by QueryCache::global()'s capacity.
   void simplify(const SimplifyOptions& opts = {});
 
   /// Deep check: is the CNF part unsatisfiable? Uses pairwise rules first,
@@ -154,11 +154,10 @@ class PredRef {
 /// The paper-facing name for guard predicates.
 using Pred = PredRef;
 
-/// Counters of the global simplify value memo (hits/misses/evictions;
-/// `entries` is the resident count). Shares QueryCache::global()'s capacity
-/// gate, so configure(0) disables it too.
+/// Counters of the global simplify value memo. It follows
+/// QueryCache::global()'s capacity, so configure(0) disables it too.
 QueryCache::Stats simplifyMemoStats();
-/// Drops the simplify memo's entries and counters (capacity-independent).
+/// Drops the simplify memo's entries and counters.
 void clearSimplifyMemo();
 
 }  // namespace panorama

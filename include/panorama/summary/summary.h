@@ -43,8 +43,8 @@ struct AnalysisOptions {
   /// excludes it from the options key); false restores procedure-granular
   /// reuse, kept as the bench_incremental comparison baseline.
   bool loopGranularReuse = true;
-  /// Entry capacity of the global FM/implication memo cache; 0 disables
-  /// memoization (every query is answered cold).
+  /// Entry capacity of each global memo (the verdict cache and the
+  /// simplify memo); 0 disables memoization (every query is answered cold).
   std::size_t cacheCapacity = QueryCache::kDefaultCapacity;
 };
 

@@ -25,7 +25,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -69,13 +68,5 @@ class ExprArena {
 
   std::array<Shard, kShards> shards_;
 };
-
-/// Node-level memo for single-variable substitution: a bounded, sharded map
-/// (exprId, var, replacementId) -> result handle. Entries can never go stale
-/// (nodes are immutable and ids are never reused); the table is enabled and
-/// sized through QueryCache::global()'s capacity, so `--no-cache` disables
-/// it together with the verdict caches.
-std::optional<ExprRef> substituteMemoLookup(const ExprRef& e, VarId v, const ExprRef& r);
-void substituteMemoStore(const ExprRef& e, VarId v, const ExprRef& r, const ExprRef& result);
 
 }  // namespace panorama

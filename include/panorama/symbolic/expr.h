@@ -113,9 +113,7 @@ class ExprRef {
   std::int64_t coeffGcd() const;
 
   /// Replaces every occurrence of `v` by `replacement`. Powers expand via
-  /// repeated multiplication. Poison propagates. Results are memoized at the
-  /// node level (pure function of two interned handles, so entries never go
-  /// stale); the memo is gated by QueryCache::global()'s capacity.
+  /// repeated multiplication. Poison propagates.
   ExprRef substitute(VarId v, const ExprRef& replacement) const;
   ExprRef substitute(const std::map<VarId, ExprRef>& replacements) const;
 

@@ -161,8 +161,10 @@ void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
 
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, CorpusIngest ingest) {
   obs::Span span("corpus.run", "perfect corpus");
+  // A corpus run is cold: both memos start empty, with fresh counters.
   QueryCache::global().configure(options.cacheCapacity);
-  clearSimplifyMemo();  // fresh counters; the memo is capacity-gated too
+  QueryCache::global().clear();
+  clearSimplifyMemo();
   ThreadPool pool(options.numThreads);
 
   const std::vector<CorpusLoop>& corpus = perfectCorpus();

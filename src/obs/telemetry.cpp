@@ -1,11 +1,9 @@
-// Event-log implementation: wait-free-claim ring, records published under
-// per-slot spin latches (see telemetry.h for the protocol and for why the
-// latch is hand-rolled instead of std::atomic<shared_ptr>).
+// Event-log implementation: a mutex-guarded ring of rendered records (see
+// telemetry.h for the cursor protocol).
 #include "panorama/obs/telemetry.h"
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "panorama/support/json.h"
 
@@ -24,26 +22,6 @@ std::size_t roundUpPow2(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
-
-}  // namespace
-
-namespace {
-
-/// Scoped hold of a slot's spin latch. The held window is one shared_ptr
-/// move or copy, so contention is momentary; yield keeps a preempted
-/// holder from starving the spinner.
-class SlotLatch {
- public:
-  explicit SlotLatch(std::atomic<bool>& busy) : busy_(busy) {
-    while (busy_.exchange(true, std::memory_order_acquire)) std::this_thread::yield();
-  }
-  ~SlotLatch() { busy_.store(false, std::memory_order_release); }
-  SlotLatch(const SlotLatch&) = delete;
-  SlotLatch& operator=(const SlotLatch&) = delete;
-
- private:
-  std::atomic<bool>& busy_;
-};
 
 }  // namespace
 
@@ -96,60 +74,43 @@ EventFields& EventFields::str(std::string_view key, std::string_view value) {
 EventLog::EventLog(std::size_t capacity)
     : capacity_(roundUpPow2(capacity)),
       mask_(capacity_ - 1),
-      slots_(new Slot[capacity_]),
-      epochNs_(steadyNowNs()) {}
+      epochNs_(steadyNowNs()),
+      ring_(capacity_) {}
 
 double EventLog::uptimeMs() const {
   return static_cast<double>(steadyNowNs() - epochNs_) / 1e6;
 }
 
+std::uint64_t EventLog::appended() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return head_;
+}
+
 std::uint64_t EventLog::append(EventKind kind, std::string fields) {
-  // Claim first so concurrent appends serialize on nothing but the
-  // fetch-add; the slot is published whenever this writer's rendering is
-  // done. A tail that arrives in between sees the claim as "in flight" and
-  // stops its scan there.
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  auto rec = std::make_shared<Rec>();
-  rec->seq = seq;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = head_++;
   char head[96];
   std::snprintf(head, sizeof(head), "{\"seq\":%llu,\"ts_ms\":%.3f,\"kind\":\"%s\"",
-                static_cast<unsigned long long>(seq),
-                static_cast<double>(steadyNowNs() - epochNs_) / 1e6, eventKindName(kind));
-  rec->json = head;
-  rec->json += fields;
-  rec->json += '}';
-  Slot& slot = slots_[seq & mask_];
-  {
-    SlotLatch latch(slot.busy);
-    slot.rec = std::move(rec);
-  }
+                static_cast<unsigned long long>(seq), uptimeMs(), eventKindName(kind));
+  std::string& rec = ring_[seq & mask_];  // reuses the overwritten record's buffer
+  rec = head;
+  rec += fields;
+  rec += '}';
   return seq;
 }
 
 EventLog::Tail EventLog::tail(std::uint64_t cursor, std::size_t maxEvents) const {
   Tail t;
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  std::uint64_t s = cursor;
-  // Records older than one full ring lap are gone by construction.
-  if (head > capacity_ && s < head - capacity_) {
-    t.dropped += (head - capacity_) - s;
-    s = head - capacity_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Records older than one full ring lap are gone.
+  const std::uint64_t oldest = head_ > capacity_ ? head_ - capacity_ : 0;
+  if (cursor < oldest) {
+    t.dropped = oldest - cursor;
+    cursor = oldest;
   }
-  for (; s < head && t.events.size() < maxEvents; ++s) {
-    const Slot& slot = slots_[s & mask_];
-    std::shared_ptr<const Rec> rec;
-    {
-      SlotLatch latch(slot.busy);
-      rec = slot.rec;
-    }
-    if (!rec || rec->seq < s) break;  // claimed but not yet published: stop, retry next tail
-    if (rec->seq > s) {
-      ++t.dropped;  // overwritten between the head read and this slot read
-      continue;
-    }
-    t.events.push_back(rec->json);
-  }
-  t.nextCursor = s;
+  for (; cursor < head_ && t.events.size() < maxEvents; ++cursor)
+    t.events.push_back(ring_[cursor & mask_]);
+  t.nextCursor = cursor;
   return t;
 }
 

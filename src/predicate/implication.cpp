@@ -50,9 +50,14 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
   QueryCache& cache = QueryCache::global();
   std::vector<std::uint64_t> key;
   if (cache.enabled()) {
-    key = {predKey(*this), predKey(other), opts.useFourierMotzkin ? 1u : 0u,
-           opts.fmBudget.maxConstraints, opts.fmBudget.maxVariables};
-    if (auto hit = cache.lookup(QueryCache::Tag::PredImplies, key)) return *hit;
+    key.reserve(6);
+    key.push_back(QueryCache::PredImplies);
+    key.push_back(predKey(*this));
+    key.push_back(predKey(other));
+    key.push_back(opts.useFourierMotzkin ? 1 : 0);
+    key.push_back(opts.fmBudget.maxConstraints);
+    key.push_back(opts.fmBudget.maxVariables);
+    if (auto hit = cache.lookup(key)) return *hit;
   }
 
   // Cold evaluation below: traced as a query span, and an Unknown verdict
@@ -105,7 +110,7 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
     obs::ProvenanceScope::note("implies",
                                "predicate implication undecided (clause not subsumed and FM "
                                "refutation inconclusive)");
-  if (cache.enabled()) cache.store(QueryCache::Tag::PredImplies, std::move(key), verdict);
+  if (cache.enabled()) cache.store(std::move(key), verdict);
   return verdict;
 }
 

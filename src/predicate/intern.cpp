@@ -11,26 +11,17 @@
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "panorama/support/memo_cache.h"
+
 namespace panorama {
 
 namespace {
-
-struct TupleHasher {
-  std::size_t operator()(const std::array<std::uint64_t, 10>& words) const {
-    std::size_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t w : words) {
-      h ^= static_cast<std::size_t>(w);
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-};
 
 /// Sharded exact-tuple interner for atom keys.
 class TupleInterner {
  public:
   std::uint64_t keyOf(const std::array<std::uint64_t, 10>& words) {
-    const std::size_t s = TupleHasher{}(words) % kShards;
+    const std::size_t s = WordsHash{}(words) % kShards;
     Shard& shard = shards_[s];
     {
       std::shared_lock<std::shared_mutex> lock(shard.mutex);
@@ -48,7 +39,7 @@ class TupleInterner {
   static constexpr std::size_t kShards = 1u << kShardBits;
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::array<std::uint64_t, 10>, std::uint64_t, TupleHasher> map;
+    std::unordered_map<std::array<std::uint64_t, 10>, std::uint64_t, WordsHash> map;
     std::uint64_t next = 0;
   };
   std::array<Shard, kShards> shards_;

@@ -3,11 +3,7 @@
 // bounded satisfiability check (pairwise rules first, Fourier-Motzkin over
 // unit clauses second, then a shallow case split over one non-unit clause).
 #include <algorithm>
-#include <array>
-#include <deque>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
@@ -16,110 +12,21 @@ namespace panorama {
 
 namespace {
 
-/// Bounded, sharded memo for Pred::simplify: maps the interned pre-simplify
-/// predicate (plus every SimplifyOptions knob) to the simplified value.
-/// Keys are exact word vectors, so a memoized result is always the result a
-/// cold run would produce; eviction (FIFO per shard) only forgets. Enabled
-/// and sized through QueryCache::global()'s capacity, like the verdict
-/// cache — configure(0) turns both off. Entries are tagged with the verdict
-/// cache's epoch too, so QueryCache::bumpEpoch() invalidates both memos in
-/// one O(1) step.
-class SimplifyMemo {
- public:
-  static SimplifyMemo& global() {
-    static SimplifyMemo memo;
-    return memo;
-  }
-
-  std::optional<Pred> lookup(const std::vector<std::uint64_t>& key) {
-    const std::uint64_t now = QueryCache::global().epoch();
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end() && it->second.epoch == now) {
-      ++shard.stats.hits;
-      return it->second.value;
-    }
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-
-  void store(std::vector<std::uint64_t> key, const Pred& value) {
-    const std::size_t cap = QueryCache::global().capacity();
-    if (cap == 0) return;
-    const std::size_t perShard = cap / kShards > 0 ? cap / kShards : 1;
-    const std::uint64_t now = QueryCache::global().epoch();
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end()) {
-      it->second = Entry{value, now};  // raced twin or stale entry: refresh
-      return;
-    }
-    while (shard.map.size() >= perShard && !shard.order.empty()) {
-      shard.map.erase(shard.order.front());
-      shard.order.pop_front();
-      ++shard.stats.evictions;
-    }
-    shard.order.push_back(key);
-    shard.map.emplace(std::move(key), Entry{value, now});
-  }
-
-  QueryCache::Stats stats() const {
-    QueryCache::Stats out;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      out.hits += shard.stats.hits;
-      out.misses += shard.stats.misses;
-      out.evictions += shard.stats.evictions;
-      out.entries += shard.map.size();
-    }
-    return out;
-  }
-
-  void clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.clear();
-      shard.order.clear();
-      shard.stats = {};
-    }
-  }
-
- private:
-  static constexpr std::size_t kShards = 16;
-
-  struct KeyHasher {
-    std::size_t operator()(const std::vector<std::uint64_t>& key) const {
-      std::size_t h = 0xcbf29ce484222325ull;
-      for (std::uint64_t w : key) {
-        h ^= static_cast<std::size_t>(w);
-        h *= 0x100000001b3ull;
-      }
-      return h;
-    }
-  };
-  struct Entry {
-    Pred value = Pred::makeTrue();
-    std::uint64_t epoch = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::vector<std::uint64_t>, Entry, KeyHasher> map;
-    std::deque<std::vector<std::uint64_t>> order;
-    QueryCache::Stats stats;
-  };
-
-  Shard& shardFor(const std::vector<std::uint64_t>& key) {
-    return shards_[KeyHasher{}(key) % kShards];
-  }
-
-  mutable std::array<Shard, kShards> shards_;
-};
+/// The Pred::simplify memo: the interned pre-simplify predicate plus every
+/// SimplifyOptions field -> the simplified value. It follows the verdict
+/// cache's capacity, so AnalysisOptions::cacheCapacity bounds (or disables)
+/// both memos.
+MemoCache<Pred>& simplifyMemo() {
+  static MemoCache<Pred> memo;
+  memo.configure(QueryCache::global().capacity());
+  return memo;
+}
 
 }  // namespace
 
-QueryCache::Stats simplifyMemoStats() { return SimplifyMemo::global().stats(); }
+QueryCache::Stats simplifyMemoStats() { return simplifyMemo().stats(); }
 
-void clearSimplifyMemo() { SimplifyMemo::global().clear(); }
+void clearSimplifyMemo() { simplifyMemo().clear(); }
 
 namespace {
 
@@ -205,7 +112,8 @@ void PredRef::simplify(const SimplifyOptions& opts) {
   }
   if (clauses().empty()) return;  // True / Δ: nothing to do
 
-  if (!QueryCache::global().enabled()) {
+  MemoCache<Pred>& memo = simplifyMemo();
+  if (!memo.enabled()) {
     *this = simplifyUncached(clauses(), isUnknown(), opts);
     return;
   }
@@ -217,12 +125,12 @@ void PredRef::simplify(const SimplifyOptions& opts) {
   key.push_back(opts.useFourierMotzkin ? 1 : 0);
   key.push_back(opts.fmBudget.maxConstraints);
   key.push_back(opts.fmBudget.maxVariables);
-  if (auto hit = SimplifyMemo::global().lookup(key)) {
+  if (auto hit = memo.lookup(key)) {
     *this = *hit;
     return;
   }
   *this = simplifyUncached(clauses(), isUnknown(), opts);
-  SimplifyMemo::global().store(std::move(key), *this);
+  memo.store(std::move(key), *this);
 }
 
 PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,

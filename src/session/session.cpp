@@ -120,24 +120,17 @@ void AnalysisSession::setOptions(const AnalysisOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t key = optionsKey(options);
   const bool threadsChanged = options.numThreads != options_.numThreads;
-  const bool capacityChanged = options.cacheCapacity != options_.cacheCapacity;
-  const bool ablationChanged = key != optionsKey_;
   options_ = options;
+  // units_ carries unitsOptionsKey_; a mismatch with optionsKey_ makes the
+  // next submit a full invalidation. The memos need no invalidation: every
+  // key carries the budgets its answer depends on.
   optionsKey_ = key;
   // With a shared pool the daemon owns concurrency; numThreads is advisory.
   if (threadsChanged && ownedPool_) {
     ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
     pool_ = ownedPool_.get();
   }
-  if (capacityChanged) QueryCache::global().configure(options_.cacheCapacity);
-  if (ablationChanged) {
-    // Cached verdicts were answered under the old budgets: one epoch bump
-    // retires every entry of the query cache and the simplify memo (both
-    // tagged with the same epoch) in O(1).
-    QueryCache::global().bumpEpoch();
-    // units_ carries unitsOptionsKey_; the mismatch with optionsKey_ makes
-    // the next submit a full invalidation.
-  }
+  QueryCache::global().configure(options_.cacheCapacity);
 }
 
 void AnalysisSession::resetState() {
@@ -792,9 +785,6 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   epoch_ = newEpoch;
   unitsOptionsKey_ = optionsKey_;
   live_ = true;
-  // Verdicts cached on behalf of removed procedures stay correct (keys are
-  // pure) but become eviction-preferred under capacity pressure.
-  if (stats.removed > 0) QueryCache::global().noteUnitsRetired();
 
   // Assemble the report in the batch drivers' order: procedures bottom-up,
   // loops in walk order within each.

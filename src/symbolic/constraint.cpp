@@ -95,7 +95,8 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
   QueryCache& cache = QueryCache::global();
   std::vector<std::uint64_t> key;
   if (cache.enabled()) {
-    key.reserve(2 + constraints_.size() * 6);
+    key.reserve(3 + constraints_.size() * 6);
+    key.push_back(QueryCache::FmContradictory);
     key.push_back(budget.maxConstraints);
     key.push_back(budget.maxVariables);
     for (const LinearConstraint& c : constraints_) {
@@ -108,10 +109,10 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
         key.push_back(static_cast<std::uint64_t>(coeff));
       }
     }
-    if (auto hit = cache.lookup(QueryCache::Tag::FmContradictory, key)) return *hit;
+    if (auto hit = cache.lookup(key)) return *hit;
   }
   Truth verdict = contradictoryUncached(budget);
-  if (cache.enabled()) cache.store(QueryCache::Tag::FmContradictory, std::move(key), verdict);
+  if (cache.enabled()) cache.store(std::move(key), verdict);
   return verdict;
 }
 

@@ -175,7 +175,6 @@ ExprRef ExprRef::substitute(VarId v, const ExprRef& replacement) const {
   if (node_->poisoned) return poisoned();
   if (!containsVar(v)) return *this;
   if (replacement.isPoisoned()) return poisoned();
-  if (auto hit = substituteMemoLookup(*this, v, replacement)) return *hit;
   ExprRef result;
   for (const Term& t : node_->terms) {
     int power = static_cast<int>(std::count(t.vars.begin(), t.vars.end(), v));
@@ -192,7 +191,6 @@ ExprRef ExprRef::substitute(VarId v, const ExprRef& replacement) const {
     result = result + piece;
     if (result.isPoisoned()) return poisoned();
   }
-  substituteMemoStore(*this, v, replacement, result);
   return result;
 }
 

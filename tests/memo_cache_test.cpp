@@ -1,10 +1,11 @@
-// Session-aware eviction in the bounded query cache: stale entries (older
-// epoch, or stored before the last noteUnitsRetired) are evicted before
-// live ones, retire marks never block hits, and live-only shards fall back
-// to plain FIFO. Keys are crafted onto one shard via shardIndexForTesting
-// so eviction order is fully deterministic.
+// The one bounded memo template (support/memo_cache.h) behind the verdict
+// cache and the simplify memo: exact keys (hash collisions never alias),
+// FIFO eviction at the per-shard bound, capacity 0 disabling both store and
+// lookup, an unchanged capacity keeping warm entries, and concurrent
+// store/lookup returning only stored values.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "panorama/support/memo_cache.h"
@@ -12,117 +13,119 @@
 namespace panorama {
 namespace {
 
-constexpr QueryCache::Tag kTag = QueryCache::Tag::FmContradictory;
+using Key = std::vector<std::uint64_t>;
 
-/// `n` distinct single-word keys that all route to the same shard (the
-/// shard of {seed 0}).
-std::vector<std::vector<std::uint64_t>> sameShardKeys(std::size_t n) {
-  std::vector<std::vector<std::uint64_t>> keys;
-  const std::size_t shard = QueryCache::shardIndexForTesting(kTag, {0});
+/// `n` distinct two-word keys that all route to the same shard.
+std::vector<Key> sameShardKeys(std::size_t n) {
+  std::vector<Key> keys;
+  const std::size_t shard = WordsHash{}(Key{QueryCache::FmContradictory, 0}) % QueryCache::kShards;
   for (std::uint64_t seed = 0; keys.size() < n; ++seed) {
-    std::vector<std::uint64_t> words{seed};
-    if (QueryCache::shardIndexForTesting(kTag, words) == shard) keys.push_back(std::move(words));
+    Key key{QueryCache::FmContradictory, seed};
+    if (WordsHash{}(key) % QueryCache::kShards == shard) keys.push_back(std::move(key));
   }
   return keys;
 }
 
-TEST(MemoCacheEvictionTest, StaleEpochEntriesEvictBeforeLiveOnes) {
+TEST(MemoCacheTest, ExactKeysNeverAliasOnHashCollision) {
+  // FNV-1a folds each word in with an xor, so {a, b} and {c, d} collide
+  // when d = H({a}) ^ b ^ H({c}).
+  const std::uint64_t ha = WordsHash{}(Key{QueryCache::AtomsContradict});
+  const std::uint64_t hc = WordsHash{}(Key{QueryCache::PredImplies});
+  const Key a{QueryCache::AtomsContradict, 7};
+  const Key b{QueryCache::PredImplies, ha ^ 7 ^ hc};
+  ASSERT_EQ(WordsHash{}(a), WordsHash{}(b));
+  ASSERT_NE(a, b);
+
   QueryCache cache;
-  cache.configure(64);  // 16 shards -> 4 entries per shard
-  auto k = sameShardKeys(7);
-
-  cache.store(kTag, k[0], Truth::True);
-  cache.store(kTag, k[1], Truth::True);
-  cache.bumpEpoch();  // k0/k1 are now epoch-stale and can never hit again
-  cache.store(kTag, k[2], Truth::False);
-  cache.store(kTag, k[3], Truth::False);
-
-  // The shard is full. The next two stores must victimize the stale pair
-  // (oldest first), not the live FIFO front.
-  cache.store(kTag, k[4], Truth::True);
-  cache.store(kTag, k[5], Truth::True);
-  EXPECT_EQ(cache.stats().evictedStale, 2u);
-  EXPECT_EQ(cache.stats().evictedLive, 0u);
-  EXPECT_EQ(cache.lookup(kTag, k[2]), Truth::False);  // live entry survived
-
-  // No stale entry left: plain FIFO takes the oldest live entry (k2).
-  cache.store(kTag, k[6], Truth::True);
-  EXPECT_EQ(cache.stats().evictedLive, 1u);
-  EXPECT_EQ(cache.stats().evictions, 3u);
-  EXPECT_EQ(cache.lookup(kTag, k[2]), std::nullopt);
-  EXPECT_EQ(cache.lookup(kTag, k[3]), Truth::False);
-  EXPECT_EQ(cache.lookup(kTag, k[6]), Truth::True);
-}
-
-TEST(MemoCacheEvictionTest, RetiredEntriesStillHitButAreEvictedFirst) {
-  QueryCache cache;
-  cache.configure(64);
-  auto k = sameShardKeys(5);
-
-  cache.store(kTag, k[0], Truth::True);
-  cache.store(kTag, k[1], Truth::False);
-  cache.noteUnitsRetired();
-
-  // Retire marks entries eviction-preferred without invalidating them:
-  // verdict keys are pure, so the cached answers are still correct.
-  EXPECT_EQ(cache.lookup(kTag, k[0]), Truth::True);
-  EXPECT_EQ(cache.lookup(kTag, k[1]), Truth::False);
-
-  cache.store(kTag, k[2], Truth::True);
-  cache.store(kTag, k[3], Truth::True);
-  cache.store(kTag, k[4], Truth::True);  // full shard: k0 (retired) goes first
-  EXPECT_EQ(cache.stats().evictedStale, 1u);
-  EXPECT_EQ(cache.stats().evictedLive, 0u);
-  EXPECT_EQ(cache.lookup(kTag, k[0]), std::nullopt);
-  EXPECT_EQ(cache.lookup(kTag, k[1]), Truth::False);  // next victim, still resident
-  EXPECT_EQ(cache.lookup(kTag, k[2]), Truth::True);
+  cache.store(a, Truth::True);
+  EXPECT_EQ(cache.lookup(b), std::nullopt);
+  cache.store(b, Truth::False);
+  EXPECT_EQ(cache.lookup(a), Truth::True);
+  EXPECT_EQ(cache.lookup(b), Truth::False);
+  // A key's prefix is a different key too.
+  EXPECT_EQ(cache.lookup({QueryCache::AtomsContradict}), std::nullopt);
+  EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(MemoCacheEvictionTest, LiveOnlyShardFallsBackToFifo) {
-  QueryCache cache;
-  cache.configure(64);
-  auto k = sameShardKeys(5);
-  for (std::size_t i = 0; i < 4; ++i) cache.store(kTag, k[i], Truth::True);
-  cache.store(kTag, k[4], Truth::True);
+  // Every entry is live (entries never go stale), so a full shard evicts
+  // in insertion order.
+  QueryCache cache(64);  // 16 shards -> 4 entries per shard
+  const std::vector<Key> k = sameShardKeys(6);
+  for (std::size_t i = 0; i < 4; ++i) cache.store(k[i], Truth::True);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  cache.store(k[4], Truth::False);  // full shard: the oldest entry (k0) goes
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().evictedStale, 0u);
-  EXPECT_EQ(cache.stats().evictedLive, 1u);
-  EXPECT_EQ(cache.lookup(kTag, k[0]), std::nullopt);  // FIFO front
-  EXPECT_EQ(cache.lookup(kTag, k[1]), Truth::True);
+  EXPECT_EQ(cache.lookup(k[0]), std::nullopt);
+  EXPECT_EQ(cache.lookup(k[1]), Truth::True);
+
+  cache.store(k[1], Truth::True);   // already resident: no eviction, no reorder
+  cache.store(k[5], Truth::False);  // k1 is next in insertion order
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.lookup(k[1]), std::nullopt);
+  EXPECT_EQ(cache.lookup(k[2]), Truth::True);
+  EXPECT_EQ(cache.lookup(k[5]), Truth::False);
+  EXPECT_EQ(cache.stats().entries, 4u);
 }
 
-TEST(MemoCacheEvictionTest, RestoringAStaleKeyRevivesItInPlace) {
+TEST(MemoCacheTest, CapacityZeroDisablesStoreAndLookup) {
   QueryCache cache;
-  cache.configure(64);
-  auto k = sameShardKeys(5);
+  const Key key{QueryCache::FmContradictory, 1, 2};
+  cache.store(key, Truth::True);
+  ASSERT_EQ(cache.lookup(key), Truth::True);
 
-  cache.store(kTag, k[0], Truth::True);
-  cache.store(kTag, k[1], Truth::True);
-  cache.bumpEpoch();
-  cache.store(kTag, k[0], Truth::False);  // overwrites the stale slot in place
-  cache.store(kTag, k[2], Truth::True);
-  cache.store(kTag, k[3], Truth::True);
-
-  // Only k1 is stale now; it must be the victim even though k0 sits ahead
-  // of it in insertion order.
-  cache.store(kTag, k[4], Truth::True);
-  EXPECT_EQ(cache.stats().evictedStale, 1u);
-  EXPECT_EQ(cache.stats().evictedLive, 0u);
-  EXPECT_EQ(cache.lookup(kTag, k[0]), Truth::False);
-  EXPECT_EQ(cache.lookup(kTag, k[1]), std::nullopt);
+  cache.configure(0);  // a new capacity drops entries and counters
+  EXPECT_FALSE(cache.enabled());
+  cache.store(key, Truth::True);
+  EXPECT_EQ(cache.lookup(key), std::nullopt);
+  const QueryCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);  // disabled lookups are not counted
 }
 
-TEST(MemoCacheEvictionTest, StatsSurfaceBothEvictionKinds) {
+TEST(MemoCacheTest, UnchangedCapacityKeepsEntriesAndCounters) {
   QueryCache cache;
-  cache.configure(64);
-  auto k = sameShardKeys(6);
-  for (std::size_t i = 0; i < 2; ++i) cache.store(kTag, k[i], Truth::True);
-  cache.bumpEpoch();
-  for (std::size_t i = 2; i < 6; ++i) cache.store(kTag, k[i], Truth::True);
-  QueryCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, stats.evictedStale + stats.evictedLive);
-  EXPECT_EQ(stats.evictedStale, 2u);
-  EXPECT_EQ(stats.entries, 4u);
+  const Key key{QueryCache::PredImplies, 3};
+  cache.store(key, Truth::Unknown);
+  ASSERT_EQ(cache.lookup(key), Truth::Unknown);
+
+  cache.configure(QueryCache::kDefaultCapacity);
+  EXPECT_EQ(cache.lookup(key), Truth::Unknown);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(MemoCacheTest, ConcurrentStoreAndLookupReturnOnlyStoredValues) {
+  // A small capacity keeps every shard evicting while four threads store
+  // and look up overlapping key ranges; a hit must always be the value
+  // stored under exactly that key.
+  MemoCache<std::uint64_t> cache(64);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeys = 512;
+  constexpr int kRounds = 8;
+  auto valueOf = [](std::uint64_t k) { return k * 0x9e3779b97f4a7c15ull; };
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round)
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+          const std::uint64_t k = (i * (t + 1) + round) % kKeys;
+          if (auto hit = cache.lookup({k, k + 1})) {
+            if (*hit != valueOf(k)) ++wrong[t];
+          } else {
+            cache.store({k, k + 1}, valueOf(k));
+          }
+        }
+    });
+  for (std::thread& t : threads) t.join();
+
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+  const MemoCache<std::uint64_t>::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, std::uint64_t{kThreads} * kRounds * kKeys);
+  EXPECT_LE(stats.entries, 64u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 }  // namespace

@@ -6,14 +6,18 @@
 //     while siblings keep their cached summaries and epochs;
 //   * identical resubmission recomputes nothing;
 //   * procedure add/remove dirties only the affected unit;
-//   * an ablation-relevant options change invalidates everything once.
+//   * an ablation-relevant options change invalidates everything once, and
+//     the warm memos never leak an answer across it;
+//   * opening a session leaves the shared verdict cache warm.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "panorama/corpus/corpus.h"
 #include "panorama/obs/metrics.h"
+#include "panorama/predicate/predicate.h"
 #include "panorama/session/session.h"
 #include "panorama/support/memo_cache.h"
 
@@ -287,6 +291,61 @@ TEST(SessionTest, OptionsChangeInvalidatesEverythingOnce) {
   ASSERT_TRUE(steady.ok);
   EXPECT_FALSE(steady.stats.fullInvalidation);
   EXPECT_EQ(steady.stats.dirty, 0u);
+}
+
+TEST(SessionTest, OptionsChangeWithWarmMemosMatchesColdSession) {
+  // Both memos fill under the default options; after an options change the
+  // warm session must still agree byte for byte with a memo-free session
+  // at the new options. Memo entries are never invalidated: every key
+  // carries the budgets its answer depends on, so an entry stored under
+  // the old options is still a correct answer under the new ones.
+  CacheGuard guard;
+  AnalysisOptions changed;
+  changed.quantified = true;
+  changed.ifConditions = false;
+  changed.simplify.maxClauses = 4;
+  changed.simplify.maxAtomsPerClause = 2;
+  changed.simplify.fmBudget.maxConstraints = 4;
+  std::size_t kernelsChanged = 0;
+  for (const CorpusLoop& cl : perfectCorpus()) {
+    AnalysisSession warmSession;
+    SessionResult before = warmSession.submit(cl.source);
+    ASSERT_TRUE(before.ok) << cl.id;
+    ASSERT_GT(QueryCache::global().stats().entries, 0u) << cl.id;
+    ASSERT_GT(simplifyMemoStats().entries, 0u) << cl.id;
+    warmSession.setOptions(changed);
+    SessionResult warm = warmSession.submit(cl.source);
+    ASSERT_TRUE(warm.ok) << cl.id;
+
+    AnalysisOptions coldOptions = changed;
+    coldOptions.cacheCapacity = 0;
+    AnalysisSession coldSession(coldOptions);
+    SessionResult cold = coldSession.submit(cl.source);
+    ASSERT_TRUE(cold.ok) << cl.id;
+    EXPECT_EQ(render(cold), render(warm)) << cl.id;
+    if (render(before) != render(cold)) ++kernelsChanged;
+  }
+  // The options change must matter somewhere, or the check proves nothing.
+  EXPECT_GT(kernelsChanged, 0u);
+}
+
+TEST(SessionTest, NewSessionKeepsTheWarmVerdictCache) {
+  // The daemon opens a session per connection; opening one must not drop
+  // the verdicts (or counters) other sessions warmed.
+  CacheGuard guard;
+  AnalysisSession first;
+  ASSERT_TRUE(first.submit(perfectCorpus().front().source).ok);
+  ASSERT_TRUE(first.submit(kBase).ok);
+  const QueryCache::Stats before = QueryCache::global().stats();
+  ASSERT_GT(before.entries, 0u);
+
+  ThreadPool daemonPool(1);
+  AnalysisSession second;
+  AnalysisSession third(AnalysisOptions{}, &daemonPool);
+  const QueryCache::Stats after = QueryCache::global().stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(SessionTest, ThreadCountChangeDoesNotInvalidate) {

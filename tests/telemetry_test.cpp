@@ -9,6 +9,7 @@
 //     fields the daemon's metrics op serves.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -117,21 +118,26 @@ TEST(EventLogTest, ConcurrentAppendersNeverTearATail) {
   EventLog log(256);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
+  std::atomic<int> running{kThreads};
   std::vector<std::thread> writers;
   for (int w = 0; w < kThreads; ++w)
-    writers.emplace_back([&log, w] {
+    writers.emplace_back([&log, &running, w] {
       for (int k = 0; k < kPerThread; ++k)
         log.append(EventKind::SubmitEnd,
                    EventFields().num("writer", static_cast<std::uint64_t>(w)).take());
+      running.fetch_sub(1);
     });
 
   // A live tailer racing the appends: every record it returns must be valid
   // JSON with strictly increasing seq, and dropped+seen must never exceed
-  // what was appended.
+  // what was appended. Once the writers are done, every tail must make
+  // progress until it has accounted for every record; a stalled one fails
+  // the test instead of spinning forever.
   std::uint64_t cursor = 0;
   std::uint64_t seen = 0;
   std::uint64_t dropped = 0;
   while (seen + dropped < static_cast<std::uint64_t>(kThreads) * kPerThread) {
+    const bool writersDone = running.load() == 0;
     EventLog::Tail t = log.tail(cursor, 64);
     double prevSeq = -1;
     for (const std::string& e : t.events) {
@@ -142,10 +148,32 @@ TEST(EventLogTest, ConcurrentAppendersNeverTearATail) {
     seen += t.events.size();
     dropped += t.dropped;
     cursor = t.nextCursor;
+    if (writersDone && t.events.empty() && t.dropped == 0) {
+      ADD_FAILURE() << "tail stalled at cursor " << cursor << " of " << log.appended();
+      break;
+    }
   }
   for (std::thread& t : writers) t.join();
   EXPECT_EQ(log.appended(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(seen + dropped, log.appended());
+}
+
+TEST(EventLogTest, FullRingAfterConcurrentAppendsIsConsecutive) {
+  EventLog log(256);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w)
+    writers.emplace_back([&log] {
+      for (int k = 0; k < 1000; ++k) log.append(EventKind::Snapshot);
+    });
+  for (std::thread& t : writers) t.join();
+
+  const std::uint64_t first = log.appended() - log.capacity();
+  EventLog::Tail t = log.tail(first, log.capacity());
+  EXPECT_EQ(t.dropped, 0u);
+  ASSERT_EQ(t.events.size(), log.capacity());
+  for (std::size_t k = 0; k < t.events.size(); ++k)
+    EXPECT_EQ(fieldNumber(parseEvent(t.events[k]), "seq"), static_cast<double>(first + k));
+  EXPECT_EQ(t.nextCursor, log.appended());
 }
 
 TEST(HistogramQuantileTest, EmptyAndDegenerate) {
