@@ -37,13 +37,16 @@ struct AffineForm {
 
   /// Divides through by gcd of variable coefficients, flooring the constant;
   /// valid for a constraint `form <= 0` over the integers (tightening).
-  /// No-op when there are no variables.
-  void tightenLE();
+  /// No-op when there are no variables. Returns whether the form changed.
+  bool tightenLE();
 
   friend bool operator==(const AffineForm&, const AffineForm&) = default;
   std::string str(const SymbolTable& symtab) const { return toExpr().str(symtab); }
 };
 
-/// True when the computation overflowed; overflow poisons the result by
-/// setting this flag on the engine that produced it (see ConstraintSet).
+/// Table-free rendering of one affine form ("2*v7 - v3 + 1") for trace span
+/// args built deep in the query layers, where no SymbolTable is reachable:
+/// variables print as their interned ids.
+void appendAffine(std::string& out, const AffineForm& f);
+
 }  // namespace panorama

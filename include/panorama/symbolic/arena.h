@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,14 +34,48 @@
 
 namespace panorama {
 
+/// A borrowed term: a coefficient and a sorted variable multiset that points
+/// into storage the caller keeps alive across the intern call (usually an
+/// existing node's term list, or a stack value). Arithmetic builds its result
+/// as a list of these, so a hit — nearly every call — copies no term.
+struct TermView {
+  std::int64_t coef;
+  const VarId* vars;
+  std::size_t size;
+};
+
+/// Fixed-capacity list of borrowed terms: inline for the common short
+/// expression, one heap block past kInline terms.
+class TermBuffer {
+ public:
+  explicit TermBuffer(std::size_t capacity) {
+    if (capacity > kInline) heap_.resize(capacity);
+  }
+  void push_back(const TermView& t) { data()[size_++] = t; }
+  std::span<const TermView> view() const {
+    return {heap_.empty() ? inline_.data() : heap_.data(), size_};
+  }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+  TermView* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+
+  std::array<TermView, kInline> inline_;
+  std::vector<TermView> heap_;
+  std::size_t size_ = 0;
+};
+
 class ExprArena {
  public:
   /// The process-wide arena every analysis thread shares.
   static ExprArena& global();
 
-  /// Interns a *canonical* term list (sorted, merged, zero-coefficient free;
-  /// poisoned values carry no terms) and returns the unique handle.
-  ExprRef intern(std::vector<Term> terms, bool poisoned);
+  /// Interns a *canonical* term list (sorted by `monomialLess`, merged,
+  /// zero-coefficient free; poisoned values carry no terms) and returns the
+  /// unique handle. The terms are copied into the arena only on a miss.
+  ExprRef intern(std::span<const TermView> terms, bool poisoned = false);
+  /// The same, for an owned canonical term list (snapshot loading, products).
+  ExprRef intern(const std::vector<Term>& terms, bool poisoned = false);
 
   /// Arena occupancy for `--stats`: distinct values, approximate resident
   /// bytes, and the least/most populated shard (balance check).

@@ -67,6 +67,9 @@ class ConstraintSet {
   Truth impliesEQ0(const SymExpr& e, const FmBudget& budget = {}) const;
 
  private:
+  /// `contradictory` of this set plus `extra` (when non-null), keyed and
+  /// memoized exactly as if `extra` had been appended.
+  Truth contradictoryWith(const LinearConstraint* extra, const FmBudget& budget) const;
   /// The decision procedure itself; contradictoryUncached wraps it with the
   /// obs query span and provenance reporting.
   Truth contradictoryCold(const FmBudget& budget) const;

@@ -102,7 +102,7 @@ class ExprRef {
   friend ExprRef operator-(const ExprRef& a, const ExprRef& b);
   friend ExprRef operator*(const ExprRef& a, const ExprRef& b);
   ExprRef mulConst(std::int64_t k) const;
-  ExprRef addConst(std::int64_t k) const { return *this + constant(k); }
+  ExprRef addConst(std::int64_t k) const;
 
   /// Exact division by a non-zero integer constant: succeeds only when every
   /// coefficient is divisible (the paper's library supports division by an
@@ -138,8 +138,6 @@ class ExprRef {
 
   /// Sorts/merges `terms` (poisoning on coefficient overflow) and interns.
   static ExprRef makeNormalized(std::vector<Term> terms);
-  /// Interns an already-canonical term list.
-  static ExprRef makeCanonical(std::vector<Term> terms, bool poisoned);
 
   const detail::ExprNode* node_;
 };
@@ -151,5 +149,7 @@ using SymExpr = ExprRef;
 /// Convenience builders used pervasively by tests and the frontend lowering.
 ExprRef operator+(const ExprRef& a, std::int64_t c);
 ExprRef operator-(const ExprRef& a, std::int64_t c);
+/// c - a in one merge; poisons exactly where -a + c would.
+ExprRef operator-(std::int64_t c, const ExprRef& a);
 
 }  // namespace panorama

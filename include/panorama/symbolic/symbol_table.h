@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -52,9 +53,10 @@ class SymbolTable {
   const std::string& name(VarId id) const;
   std::size_t size() const;
 
-  /// Creates a fresh variable distinct from every interned name. Used for
-  /// renamed loop indices (e.g. the i' of MOD_{<i}) and for formal-parameter
-  /// renaming at call sites.
+  /// Creates a fresh variable distinct from every interned name: the first
+  /// absent one of `hint'`, `hint'1`, `hint'2`, ... Used for renamed loop
+  /// indices (e.g. the i' of MOD_{<i}) and for formal-parameter renaming at
+  /// call sites.
   VarId fresh(std::string_view hint);
 
  private:
@@ -69,6 +71,10 @@ class SymbolTable {
     std::array<Shard, kShards> shards;
     mutable std::shared_mutex namesMutex;
     std::deque<std::string> names;  ///< deque: stable references across growth
+    /// Per-hint suffix below which every `fresh` candidate is taken, so a
+    /// call resumes probing there instead of at `hint'`.
+    std::mutex freshMutex;
+    std::unordered_map<std::string, std::uint32_t> nextFresh;
   };
 
   Shard& shardFor(const std::string& key) const;

@@ -20,11 +20,9 @@ Atom Atom::rel(SymExpr e, RelOp op) {
     if (SymExpr::compare(neg, a.expr_) < 0) a.expr_ = std::move(neg);
   } else if (a.op_ == RelOp::LE && a.expr_.isAffine()) {
     // Integer tightening keeps LE atoms canonical: 2x-1<=0 and x<=0 unify.
+    // An untouched form keeps the original handle (no re-interning).
     auto f = AffineForm::fromExpr(a.expr_);
-    if (f) {
-      f->tightenLE();
-      if (!f->overflow) a.expr_ = f->toExpr();
-    }
+    if (f && f->tightenLE()) a.expr_ = f->toExpr();
   }
   return a;
 }
@@ -74,7 +72,7 @@ Atom Atom::negated() const {
   }
   switch (op_) {
     case RelOp::LE:  // not(e <= 0)  ==  e >= 1  ==  -e + 1 <= 0 (integers)
-      return rel(-expr_ + 1, RelOp::LE);
+      return rel(1 - expr_, RelOp::LE);
     case RelOp::EQ:
       return rel(expr_, RelOp::NE);
     case RelOp::NE:

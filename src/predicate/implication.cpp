@@ -36,6 +36,98 @@ bool clauseSubsumed(const std::vector<Disjunct>& hyp, const Disjunct& goal,
   return false;
 }
 
+/// Table-free expression rendering for the span: affine forms as in the FM
+/// spans, anything of higher degree by its arena id.
+void appendExpr(std::string& out, const SymExpr& e) {
+  if (auto f = AffineForm::fromExpr(e)) {
+    appendAffine(out, *f);
+  } else if (e.isPoisoned()) {
+    out += "<?>";
+  } else {
+    out += "e#" + std::to_string(e.id());
+  }
+}
+
+void appendVar(std::string& out, VarId v) { out += "v" + std::to_string(v.value); }
+
+void appendAtom(std::string& out, const Atom& a) {
+  switch (a.kind()) {
+    case Atom::Kind::LogVar:
+      if (!a.logicalValue()) out += '!';
+      appendVar(out, a.logical());
+      return;
+    case Atom::Kind::Forall:
+      out += "forall ";
+      appendVar(out, a.boundVar());
+      out += " in [";
+      appendExpr(out, a.forallLo());
+      out += ", ";
+      appendExpr(out, a.forallUp());
+      out += "]: ";
+      [[fallthrough]];
+    case Atom::Kind::ArrayPred:
+      if (!a.logicalValue()) out += '!';
+      appendVar(out, a.logical());
+      out += "(a" + std::to_string(a.predArray().value) + "[";
+      appendExpr(out, a.expr());
+      out += "], ";
+      appendExpr(out, a.predRhs());
+      out += ')';
+      return;
+    case Atom::Kind::Rel:
+      break;
+  }
+  appendExpr(out, a.expr());
+  switch (a.op()) {
+    case RelOp::LE: out += " <= 0"; break;
+    case RelOp::EQ: out += " == 0"; break;
+    case RelOp::NE: out += " != 0"; break;
+    case RelOp::RLT: out += " <. 0"; break;
+    case RelOp::RLE: out += " <=. 0"; break;
+    case RelOp::REQ: out += " ==. 0"; break;
+    case RelOp::RNE: out += " !=. 0"; break;
+  }
+}
+
+/// The CNF in the layout of `PredRef::str`, stopping with "..." once the
+/// text passes `cap` characters.
+void appendPred(std::string& out, const Pred& p, std::size_t cap) {
+  if (p.isFalse()) {
+    out += "false";
+    return;
+  }
+  if (p.clauses().empty() && !p.isUnknown()) {
+    out += "true";
+    return;
+  }
+  bool firstClause = true;
+  for (const Disjunct& d : p.clauses()) {
+    if (!firstClause) out += " and ";
+    firstClause = false;
+    if (out.size() > cap) {
+      out += "...";
+      return;
+    }
+    if (d.atoms.size() > 1) out += '(';
+    for (std::size_t i = 0; i < d.atoms.size(); ++i) {
+      if (i) out += " or ";
+      appendAtom(out, d.atoms[i]);
+    }
+    if (d.atoms.size() > 1) out += ')';
+  }
+  if (p.isUnknown()) out += firstClause ? "DELTA" : " and DELTA";
+}
+
+/// "hypothesis => goal", capped at 400 characters like the FM query spans.
+std::string renderImplication(const Pred& hyp, const Pred& goal) {
+  constexpr std::size_t kMaxChars = 400;
+  std::string out;
+  appendPred(out, hyp, kMaxChars);
+  out += " => ";
+  appendPred(out, goal, kMaxChars);
+  return out;
+}
+
 }  // namespace
 
 Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
@@ -65,20 +157,9 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
   // the notes are best-effort by design, see obs/provenance.h).
   obs::Span span("query.implies", "Pred::implies");
   if (span.active()) {
-    // Full predicate rendering needs a SymbolTable (unreachable here), so
-    // the span carries a structural skeleton: interned keys plus clause and
-    // atom cardinalities, enough to identify the query in a profile.
-    auto atomCount = [](const Pred& p) {
-      std::size_t n = 0;
-      for (const Disjunct& d : p.clauses()) n += d.atoms.size();
-      return n;
-    };
-    span.arg("expr", "P#" + std::to_string(predKey(*this)) + " (" +
-                         std::to_string(clauses().size()) + " clauses, " +
-                         std::to_string(atomCount(*this)) + " atoms) => P#" +
-                         std::to_string(predKey(other)) + " (" +
-                         std::to_string(other.clauses().size()) + " clauses, " +
-                         std::to_string(atomCount(other)) + " atoms)");
+    // No SymbolTable is reachable here: both CNFs render table-free, with
+    // variables as v<id> (as in the FM spans).
+    span.arg("expr", renderImplication(*this, other));
     if (std::string ctx = obs::ProvenanceScope::currentLabel(); !ctx.empty())
       span.arg("ctx", std::move(ctx));
   }

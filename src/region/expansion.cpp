@@ -199,7 +199,7 @@ bool splitIndexClause(const Gar& gar, VarId i, const LoopBounds& bounds, const C
                clause.atoms[0].op() == RelOp::NE) {
       const SymExpr& e = clause.atoms[0].expr();
       branches.push_back(Atom::rel(e + 1, RelOp::LE));   // e < 0
-      branches.push_back(Atom::rel(-e + 1, RelOp::LE));  // e > 0
+      branches.push_back(Atom::rel(1 - e, RelOp::LE));   // e > 0
     } else {
       continue;
     }

@@ -326,7 +326,7 @@ struct PoolReader {
       if (r.ok() && poisoned && !terms.empty())
         r.fail("corrupted snapshot: poisoned expression carries terms");
       if (!r.ok()) return false;
-      exprs.push_back(ExprArena::global().intern(std::move(terms), poisoned));
+      exprs.push_back(ExprArena::global().intern(terms, poisoned));
     }
     return r.ok();
   }

@@ -35,35 +35,6 @@ namespace {
 /// Canonical key of the variable part for syntactic clash detection.
 bool sameVarPart(const AffineForm& a, const AffineForm& b) { return a.coeffs == b.coeffs; }
 
-/// Table-free rendering of one affine form ("2*v7 - v3 + 1"): the span args
-/// on cold FM queries are built deep in the query layer, where no
-/// SymbolTable is reachable, so variables print as their interned ids.
-void appendAffine(std::string& out, const AffineForm& f) {
-  bool first = true;
-  for (const auto& [v, coeff] : f.coeffs) {
-    if (coeff == 0) continue;
-    if (first) {
-      if (coeff < 0) out += '-';
-    } else {
-      out += coeff < 0 ? " - " : " + ";
-    }
-    const std::int64_t mag = coeff < 0 ? -coeff : coeff;
-    if (mag != 1) {
-      out += std::to_string(mag);
-      out += '*';
-    }
-    out += 'v';
-    out += std::to_string(v.value);
-    first = false;
-  }
-  if (first) {
-    out += std::to_string(f.constant);
-  } else if (f.constant != 0) {
-    out += f.constant < 0 ? " - " : " + ";
-    out += std::to_string(f.constant < 0 ? -f.constant : f.constant);
-  }
-}
-
 /// The whole constraint system, " && "-joined, capped so pathological sets
 /// do not bloat the trace buffers.
 std::string renderConstraints(const std::vector<LinearConstraint>& constraints) {
@@ -89,17 +60,24 @@ std::string renderConstraints(const std::vector<LinearConstraint>& constraints) 
 }  // namespace
 
 Truth ConstraintSet::contradictory(const FmBudget& budget) const {
+  return contradictoryWith(nullptr, budget);
+}
+
+Truth ConstraintSet::contradictoryWith(const LinearConstraint* extra,
+                                       const FmBudget& budget) const {
   // Memoized across the whole run: the verdict is a pure function of the
   // exact constraint vector and the budget (both encoded in the key), so a
   // cached answer is always the answer a cold evaluation would produce.
+  // `extra` is encoded as if appended to the set, so the set is copied only
+  // on a miss.
   QueryCache& cache = QueryCache::global();
   std::vector<std::uint64_t> key;
   if (cache.enabled()) {
-    key.reserve(3 + constraints_.size() * 6);
+    key.reserve(3 + (constraints_.size() + 1) * 6);
     key.push_back(QueryCache::FmContradictory);
     key.push_back(budget.maxConstraints);
     key.push_back(budget.maxVariables);
-    for (const LinearConstraint& c : constraints_) {
+    auto encode = [&key](const LinearConstraint& c) {
       key.push_back(static_cast<std::uint64_t>(c.kind));
       key.push_back(c.form.overflow ? 1 : 0);
       key.push_back(static_cast<std::uint64_t>(c.form.constant));
@@ -108,10 +86,19 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
         key.push_back(v.value);
         key.push_back(static_cast<std::uint64_t>(coeff));
       }
-    }
+    };
+    for (const LinearConstraint& c : constraints_) encode(c);
+    if (extra) encode(*extra);
     if (auto hit = cache.lookup(key)) return *hit;
   }
-  Truth verdict = contradictoryUncached(budget);
+  Truth verdict;
+  if (extra) {
+    ConstraintSet augmented = *this;
+    augmented.add(*extra);
+    verdict = augmented.contradictoryUncached(budget);
+  } else {
+    verdict = contradictoryUncached(budget);
+  }
   if (cache.enabled()) cache.store(std::move(key), verdict);
   return verdict;
 }
@@ -190,11 +177,9 @@ Truth ConstraintSet::impliesLE0(const SymExpr& e, const FmBudget& budget) const 
   auto f = AffineForm::fromExpr(e);
   if (!f) return Truth::Unknown;
   // negation of (e <= 0) over the integers: e >= 1, i.e. -e + 1 <= 0
-  AffineForm neg = f->scaled(-1);
-  neg.constant += 1;
-  ConstraintSet augmented = *this;
-  augmented.add({std::move(neg), ConstraintKind::LE0});
-  Truth infeasible = augmented.contradictory(budget);
+  LinearConstraint neg{f->scaled(-1), ConstraintKind::LE0};
+  neg.form.constant += 1;
+  Truth infeasible = contradictoryWith(&neg, budget);
   if (infeasible == Truth::True) return Truth::True;
   return Truth::Unknown;  // feasible negation does not refute entailment over all models
 }

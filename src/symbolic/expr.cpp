@@ -22,22 +22,62 @@ std::optional<std::int64_t> checkedMul(std::int64_t a, std::int64_t b) {
   return r;
 }
 
+/// The monomial order, three-way: by degree, then lexicographically by
+/// variable id. Negative, zero or positive.
+int monomialCompare(const std::vector<VarId>& a, const std::vector<VarId>& b) {
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  for (std::size_t k = 0; k < a.size(); ++k)
+    if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
+  return 0;
+}
+
+TermView viewOf(const Term& t, std::int64_t coef) { return {coef, t.vars.data(), t.vars.size()}; }
+
+/// a + b, or a - b when `negate`: one linear merge of two canonical term
+/// lists, interned once. The poison rules are those of a + (-b): a
+/// coefficient sum that overflows, or an INT64_MIN coefficient in a negated
+/// b, poisons the result.
+ExprRef mergeTerms(std::span<const Term> a, std::span<const Term> b, bool negate) {
+  TermBuffer out(a.size() + b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    const int order = j == b.size()   ? -1
+                      : i == a.size() ? 1
+                                      : monomialCompare(a[i].vars, b[j].vars);
+    if (order < 0) {
+      out.push_back(viewOf(a[i], a[i].coef));
+      ++i;
+      continue;
+    }
+    std::int64_t cb = b[j].coef;
+    if (negate) {
+      if (cb == INT64_MIN) return ExprRef::poisoned();
+      cb = -cb;
+    }
+    if (order > 0) {
+      out.push_back(viewOf(b[j], cb));
+    } else {
+      auto sum = checkedAdd(a[i].coef, cb);
+      if (!sum) return ExprRef::poisoned();
+      if (*sum != 0) out.push_back(viewOf(a[i], *sum));
+      ++i;
+    }
+    ++j;
+  }
+  return ExprArena::global().intern(out.view());
+}
+
 }  // namespace
 
 bool monomialLess(const std::vector<VarId>& a, const std::vector<VarId>& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+  return monomialCompare(a, b) < 0;
 }
 
 ExprRef::ExprRef() {
   static const detail::ExprNode* zero =
-      ExprArena::global().intern({}, /*poisoned=*/false).node_;
+      ExprArena::global().intern(std::span<const TermView>{}, /*poisoned=*/false).node_;
   node_ = zero;
-}
-
-ExprRef ExprRef::makeCanonical(std::vector<Term> terms, bool poisoned) {
-  if (poisoned) terms.clear();
-  return ExprArena::global().intern(std::move(terms), poisoned);
 }
 
 ExprRef ExprRef::makeNormalized(std::vector<Term> terms) {
@@ -55,19 +95,23 @@ ExprRef ExprRef::makeNormalized(std::vector<Term> terms) {
     }
   }
   std::erase_if(merged, [](const Term& t) { return t.coef == 0; });
-  return makeCanonical(std::move(merged), false);
+  return ExprArena::global().intern(merged);
 }
 
 ExprRef ExprRef::constant(std::int64_t c) {
   if (c == 0) return ExprRef();
-  return makeCanonical({Term{c, {}}}, false);
+  const TermView t{c, nullptr, 0};
+  return ExprArena::global().intern({&t, 1});
 }
 
-ExprRef ExprRef::variable(VarId v) { return makeCanonical({Term{1, {v}}}, false); }
+ExprRef ExprRef::variable(VarId v) {
+  const TermView t{1, &v, 1};
+  return ExprArena::global().intern({&t, 1});
+}
 
 ExprRef ExprRef::poisoned() {
   static const detail::ExprNode* node =
-      ExprArena::global().intern({}, /*poisoned=*/true).node_;
+      ExprArena::global().intern(std::span<const TermView>{}, /*poisoned=*/true).node_;
   return ExprRef(node);
 }
 
@@ -112,12 +156,14 @@ ExprRef operator+(const ExprRef& a, const ExprRef& b) {
   if (a.isPoisoned() || b.isPoisoned()) return ExprRef::poisoned();
   if (a.isZero()) return b;
   if (b.isZero()) return a;
-  std::vector<Term> terms = a.terms();
-  terms.insert(terms.end(), b.terms().begin(), b.terms().end());
-  return ExprRef::makeNormalized(std::move(terms));
+  return mergeTerms(a.terms(), b.terms(), /*negate=*/false);
 }
 
-ExprRef operator-(const ExprRef& a, const ExprRef& b) { return a + (-b); }
+ExprRef operator-(const ExprRef& a, const ExprRef& b) {
+  if (a.isPoisoned() || b.isPoisoned()) return ExprRef::poisoned();
+  if (b.isZero()) return a;
+  return mergeTerms(a.terms(), b.terms(), /*negate=*/true);
+}
 
 ExprRef operator*(const ExprRef& a, const ExprRef& b) {
   if (a.isPoisoned() || b.isPoisoned()) return ExprRef::poisoned();
@@ -142,27 +188,27 @@ ExprRef ExprRef::mulConst(std::int64_t k) const {
   if (node_->poisoned) return poisoned();
   if (k == 0) return ExprRef();
   if (k == 1) return *this;
-  std::vector<Term> terms;
-  terms.reserve(node_->terms.size());
+  TermBuffer terms(node_->terms.size());
   for (const Term& t : node_->terms) {
     auto coef = checkedMul(t.coef, k);
     if (!coef) return poisoned();
-    terms.push_back(Term{*coef, t.vars});
+    terms.push_back(viewOf(t, *coef));
   }
   // Scaling by a non-zero constant preserves order and uniqueness.
-  return makeCanonical(std::move(terms), false);
+  return ExprArena::global().intern(terms.view());
 }
+
+ExprRef ExprRef::addConst(std::int64_t k) const { return *this + k; }
 
 std::optional<ExprRef> ExprRef::divExact(std::int64_t k) const {
   if (node_->poisoned || k == 0) return std::nullopt;
-  std::vector<Term> terms;
-  terms.reserve(node_->terms.size());
+  TermBuffer terms(node_->terms.size());
   for (const Term& t : node_->terms) {
     if (t.coef % k != 0) return std::nullopt;
-    terms.push_back(Term{t.coef / k, t.vars});
+    terms.push_back(viewOf(t, t.coef / k));
   }
   // Monomial keys are untouched, so the sorted invariant holds.
-  return makeCanonical(std::move(terms), false);
+  return ExprArena::global().intern(terms.view());
 }
 
 std::int64_t ExprRef::coeffGcd() const {
@@ -179,14 +225,16 @@ ExprRef ExprRef::substitute(VarId v, const ExprRef& replacement) const {
   for (const Term& t : node_->terms) {
     int power = static_cast<int>(std::count(t.vars.begin(), t.vars.end(), v));
     if (power == 0) {
-      result = result + makeCanonical({t}, false);
+      const TermView single = viewOf(t, t.coef);
+      result = result + ExprArena::global().intern({&single, 1});
       continue;
     }
     Term rest;
     rest.coef = t.coef;
     for (VarId w : t.vars)
       if (w != v) rest.vars.push_back(w);
-    ExprRef piece = makeCanonical({std::move(rest)}, false);
+    const TermView restView = viewOf(rest, rest.coef);
+    ExprRef piece = ExprArena::global().intern({&restView, 1});
     for (int p = 0; p < power; ++p) piece = piece * replacement;
     result = result + piece;
     if (result.isPoisoned()) return poisoned();
@@ -238,7 +286,7 @@ int ExprRef::compare(const ExprRef& a, const ExprRef& b) {
   const std::vector<Term>& tb = b.node_->terms;
   if (ta.size() != tb.size()) return ta.size() < tb.size() ? -1 : 1;
   for (std::size_t i = 0; i < ta.size(); ++i) {
-    if (ta[i].vars != tb[i].vars) return monomialLess(ta[i].vars, tb[i].vars) ? -1 : 1;
+    if (int c = monomialCompare(ta[i].vars, tb[i].vars)) return c;
     if (ta[i].coef != tb[i].coef) return ta[i].coef < tb[i].coef ? -1 : 1;
   }
   return 0;
@@ -276,7 +324,20 @@ std::string ExprRef::str(const SymbolTable& symtab) const {
   return out;
 }
 
-ExprRef operator+(const ExprRef& a, std::int64_t c) { return a + ExprRef::constant(c); }
-ExprRef operator-(const ExprRef& a, std::int64_t c) { return a + ExprRef::constant(-c); }
+ExprRef operator+(const ExprRef& a, std::int64_t c) {
+  if (a.isPoisoned()) return ExprRef::poisoned();
+  if (c == 0) return a;
+  const Term k{c, {}};
+  return mergeTerms(a.terms(), {&k, 1}, /*negate=*/false);
+}
+
+ExprRef operator-(const ExprRef& a, std::int64_t c) { return a + (-c); }
+
+ExprRef operator-(std::int64_t c, const ExprRef& a) {
+  if (a.isPoisoned()) return ExprRef::poisoned();
+  if (c == 0) return -a;
+  const Term k{c, {}};
+  return mergeTerms({&k, 1}, a.terms(), /*negate=*/true);
+}
 
 }  // namespace panorama

@@ -1,7 +1,10 @@
 #include "panorama/symbolic/affine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
+
+#include "panorama/symbolic/arena.h"
 
 namespace panorama {
 
@@ -38,9 +41,14 @@ std::optional<AffineForm> AffineForm::fromExpr(const SymExpr& e) {
 
 SymExpr AffineForm::toExpr() const {
   if (overflow) return SymExpr::poisoned();
-  SymExpr e = SymExpr::constant(constant);
-  for (const auto& [var, c] : coeffs) e = e + SymExpr::variable(var).mulConst(c);
-  return e;
+  assert(std::is_sorted(coeffs.begin(), coeffs.end()));
+  // The canonical term list directly: the constant (degree 0) sorts first,
+  // then one degree-1 term per variable in id order.
+  TermBuffer terms(coeffs.size() + 1);
+  if (constant != 0) terms.push_back({constant, nullptr, 0});
+  for (const auto& [var, c] : coeffs)
+    if (c != 0) terms.push_back({c, &var, 1});
+  return ExprArena::global().intern(terms.view());
 }
 
 AffineForm AffineForm::scaled(std::int64_t k) const {
@@ -101,16 +109,43 @@ std::int64_t AffineForm::extractVar(VarId v) {
   return 0;
 }
 
-void AffineForm::tightenLE() {
-  if (overflow || coeffs.empty()) return;
+bool AffineForm::tightenLE() {
+  if (overflow || coeffs.empty()) return false;
   std::int64_t g = 0;
   for (const auto& [var, c] : coeffs) g = std::gcd(g, c);
-  if (g <= 1) return;
+  if (g <= 1) return false;
   for (auto& [var, c] : coeffs) c /= g;
   // g*X + constant <= 0  =>  X <= floor(-constant/g)  =>  X + ceil(constant/g) <= 0
   std::int64_t q = constant / g;
   if (constant % g != 0 && constant > 0) ++q;  // ceiling for positive remainders
   constant = q;
+  return true;
+}
+
+void appendAffine(std::string& out, const AffineForm& f) {
+  bool first = true;
+  for (const auto& [v, coeff] : f.coeffs) {
+    if (coeff == 0) continue;
+    if (first) {
+      if (coeff < 0) out += '-';
+    } else {
+      out += coeff < 0 ? " - " : " + ";
+    }
+    const std::int64_t mag = coeff < 0 ? -coeff : coeff;
+    if (mag != 1) {
+      out += std::to_string(mag);
+      out += '*';
+    }
+    out += 'v';
+    out += std::to_string(v.value);
+    first = false;
+  }
+  if (first) {
+    out += std::to_string(f.constant);
+  } else if (f.constant != 0) {
+    out += f.constant < 0 ? " - " : " + ";
+    out += std::to_string(f.constant < 0 ? -f.constant : f.constant);
+  }
 }
 
 }  // namespace panorama

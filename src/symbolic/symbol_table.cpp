@@ -14,15 +14,11 @@ SymbolTable::SymbolTable(const SymbolTable& other) : rep_(std::make_unique<Rep>(
   rep_->names = other.rep_->names;
   for (std::size_t s = 0; s < kShards; ++s)
     rep_->shards[s].index = other.rep_->shards[s].index;
+  rep_->nextFresh = other.rep_->nextFresh;
 }
 
 SymbolTable& SymbolTable::operator=(const SymbolTable& other) {
-  if (this == &other) return *this;
-  auto fresh = std::make_unique<Rep>();
-  fresh->names = other.rep_->names;
-  for (std::size_t s = 0; s < kShards; ++s)
-    fresh->shards[s].index = other.rep_->shards[s].index;
-  rep_ = std::move(fresh);
+  if (this != &other) *this = SymbolTable(other);
   return *this;
 }
 
@@ -83,10 +79,17 @@ std::size_t SymbolTable::size() const {
 
 VarId SymbolTable::fresh(std::string_view hint) {
   std::string base = normalize(hint);
-  for (int n = 0;; ++n) {
-    std::string candidate = base + "'" + (n == 0 ? std::string() : std::to_string(n));
+  std::lock_guard<std::mutex> lock(rep_->freshMutex);
+  // Names are never removed, so every suffix below `next` is still taken;
+  // probing resumes there and skips names the caller interned itself.
+  std::uint32_t& next = rep_->nextFresh[base];
+  for (;; ++next) {
+    std::string candidate = base + "'" + (next == 0 ? std::string() : std::to_string(next));
     auto [id, inserted] = internIfAbsent(std::move(candidate));
-    if (inserted) return id;
+    if (inserted) {
+      ++next;
+      return id;
+    }
   }
 }
 

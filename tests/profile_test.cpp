@@ -11,6 +11,7 @@
 #include "panorama/analysis/driver.h"
 #include "panorama/obs/profile.h"
 #include "panorama/obs/trace.h"
+#include "panorama/predicate/predicate.h"
 #include "panorama/support/json.h"
 
 namespace panorama {
@@ -223,6 +224,48 @@ TEST(ProfileRenderTest, TextRendererNamesDirtyUnitsAndCauses) {
 // ---------------------------------------------------------------------------
 // Real-pipeline contracts
 // ---------------------------------------------------------------------------
+
+/// The `expr` arg of the one cold `query.implies` span `hyp.implies(goal)`
+/// records (cache off, so the query cannot hit).
+std::string impliesSpanExpr(const Pred& hyp, const Pred& goal) {
+  QueryCache& cache = QueryCache::global();
+  const std::size_t capacity = cache.capacity();
+  cache.configure(0);
+  obs::Tracer::global().clear();
+  obs::Tracer::global().enable();
+  (void)hyp.implies(goal);
+  obs::Tracer::global().disable();
+  std::vector<TraceEvent> events = obs::Tracer::global().snapshot();
+  obs::Tracer::global().clear();
+  cache.configure(capacity);
+  std::string expr;
+  for (const TraceEvent& e : events)
+    if (std::string_view(e.category) == "query.implies")
+      for (const auto& [key, value] : e.args)
+        if (key == "expr") expr = value;
+  return expr;
+}
+
+TEST(ProfileQueryRenderTest, ImpliesSpanRendersBothCnfsTableFree) {
+  SymbolTable tab;
+  const SymExpr x = SymExpr::variable(tab.intern("x"));  // v0
+  const SymExpr y = SymExpr::variable(tab.intern("y"));  // v1
+  const VarId flag = tab.intern("flag");                 // v2
+  const Pred hyp = Pred::atom(Atom::le(x, SymExpr::constant(5))) &&
+                   (Pred::atom(Atom::ge(y, SymExpr::constant(1))) ||
+                    Pred::atom(Atom::logicalVar(flag, false)));
+  const Pred goal = Pred::atom(Atom::le(x, SymExpr::constant(10))) && Pred::atom(Atom::ne(x, y));
+  EXPECT_EQ(impliesSpanExpr(hyp, goal),
+            "v0 - 5 <= 0 and (-v1 + 1 <= 0 or !v2) => v0 - 10 <= 0 and -v0 + v1 != 0");
+
+  // Long predicates are cut off with "..." near 400 characters.
+  Pred wide;
+  for (int k = 0; k < 100; ++k)
+    wide.andAtom(Atom::le(SymExpr::variable(tab.fresh("w")), SymExpr::constant(k)));
+  const std::string capped = impliesSpanExpr(wide, goal);
+  EXPECT_EQ(capped.substr(capped.size() - 3), "...");
+  EXPECT_LT(capped.size(), 450u);
+}
 
 class ProfilePipelineTest : public ::testing::Test {
  protected:

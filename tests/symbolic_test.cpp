@@ -2,9 +2,16 @@
 // bounded Fourier-Motzkin constraint engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <numeric>
 #include <random>
+#include <set>
+#include <thread>
 
+#include "panorama/predicate/atom.h"
 #include "panorama/symbolic/affine.h"
+#include "panorama/symbolic/arena.h"
 #include "panorama/symbolic/constraint.h"
 #include "panorama/symbolic/expr.h"
 
@@ -222,6 +229,46 @@ TEST_F(SymbolicTest, FreshVariablesAreDistinct) {
   EXPECT_NE(tab.name(f1), tab.name(f2));
 }
 
+TEST_F(SymbolicTest, FreshNamesFollowTheSuffixSequence) {
+  SymbolTable t;
+  for (int n = 0; n < 1000; ++n) {
+    const std::string expected = n == 0 ? "i'" : "i'" + std::to_string(n);
+    ASSERT_EQ(t.name(t.fresh("i")), expected);
+  }
+}
+
+TEST_F(SymbolicTest, FreshSkipsNamesTheCallerInterned) {
+  SymbolTable t;
+  t.intern("x'1");
+  EXPECT_EQ(t.name(t.fresh("x")), "x'");
+  EXPECT_EQ(t.name(t.fresh("x")), "x'2");
+  // A copy resumes where the original stopped.
+  SymbolTable copy = t;
+  EXPECT_EQ(copy.name(copy.fresh("x")), "x'3");
+}
+
+TEST_F(SymbolicTest, ConcurrentFreshYieldsDistinctNames) {
+  SymbolTable t;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  std::vector<std::vector<VarId>> ids(kThreads);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w)
+    workers.emplace_back([&, w] {
+      for (int n = 0; n < kPerThread; ++n) ids[w].push_back(t.fresh("k"));
+    });
+  for (std::thread& th : workers) th.join();
+  std::set<std::uint32_t> distinctIds;
+  std::set<std::string> distinctNames;
+  for (const auto& list : ids)
+    for (VarId v : list) {
+      distinctIds.insert(v.value);
+      distinctNames.insert(t.name(v));
+    }
+  EXPECT_EQ(distinctIds.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_EQ(distinctNames.size(), static_cast<std::size_t>(kThreads * kPerThread));
+}
+
 TEST_F(SymbolicTest, SymbolTableCaseInsensitive) {
   EXPECT_EQ(tab.intern("FOO"), tab.intern("foo"));
   EXPECT_EQ(tab.lookup("Foo"), tab.lookup("fOO"));
@@ -343,6 +390,112 @@ TEST_P(SymbolicPropertyTest, FmNeverCallsSatisfiableSystemContradictory) {
     }
     EXPECT_NE(cs.contradictory(), Truth::True);
   }
+}
+
+/// Reference canonicalization, independent of the library's merge: sort by
+/// monomialLess, merge equal monomials, drop zeros. nullopt on overflow.
+std::optional<SymExpr> referenceNormalize(std::vector<Term> terms) {
+  std::stable_sort(terms.begin(), terms.end(),
+                   [](const Term& a, const Term& b) { return monomialLess(a.vars, b.vars); });
+  std::vector<Term> merged;
+  for (Term& t : terms) {
+    if (!merged.empty() && merged.back().vars == t.vars) {
+      if (__builtin_add_overflow(merged.back().coef, t.coef, &merged.back().coef))
+        return std::nullopt;
+    } else {
+      merged.push_back(std::move(t));
+    }
+  }
+  std::erase_if(merged, [](const Term& t) { return t.coef == 0; });
+  return ExprArena::global().intern(merged);
+}
+
+TEST_P(SymbolicPropertyTest, MergedArithmeticMatchesReferenceCanonicalization) {
+  std::mt19937 rng(GetParam() * 31337u + 5u);
+  SymbolTable tab;
+  std::vector<VarId> vars{tab.intern("a"), tab.intern("b"), tab.intern("c")};
+  std::uniform_int_distribution<int> coef(-3, 3);
+  std::uniform_int_distribution<int> degree(0, 2);
+  std::uniform_int_distribution<std::size_t> pick(0, vars.size() - 1);
+  std::uniform_int_distribution<int> termCount(0, 5);
+
+  auto randomTerms = [&] {
+    std::vector<Term> terms;
+    for (int k = termCount(rng); k > 0; --k) {
+      Term t{coef(rng), {}};
+      for (int d = degree(rng); d > 0; --d) t.vars.push_back(vars[pick(rng)]);
+      std::sort(t.vars.begin(), t.vars.end());
+      terms.push_back(std::move(t));
+    }
+    return terms;
+  };
+
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<Term> ta = randomTerms();
+    std::vector<Term> tb = randomTerms();
+    // Half the time b cancels some of a's terms outright.
+    if (iter % 2 == 0)
+      for (const Term& t : ta)
+        if (coef(rng) > 0) tb.push_back(Term{-t.coef, t.vars});
+    const SymExpr a = *referenceNormalize(ta);
+    const SymExpr b = *referenceNormalize(tb);
+
+    std::vector<Term> sum = a.terms();
+    sum.insert(sum.end(), b.terms().begin(), b.terms().end());
+    EXPECT_EQ(a + b, *referenceNormalize(sum));
+    std::vector<Term> diff = a.terms();
+    for (const Term& t : b.terms()) diff.push_back(Term{-t.coef, t.vars});
+    EXPECT_EQ(a - b, *referenceNormalize(diff));
+    EXPECT_TRUE((a - a).isZero());
+
+    // Affine round trip and LE tightening on the degree-<=1 part of `a`,
+    // scaled so that some forms tighten and some do not.
+    const std::int64_t scale = iter % 3 + 1;
+    std::vector<Term> linear;
+    for (const Term& t : ta)
+      if (t.vars.size() <= 1) linear.push_back(Term{t.coef * scale, t.vars});
+    const SymExpr e = *referenceNormalize(linear);
+    auto form = AffineForm::fromExpr(e);
+    ASSERT_TRUE(form.has_value());
+    EXPECT_EQ(form->toExpr(), e);
+
+    std::int64_t g = 0;
+    for (const Term& t : e.terms())
+      if (!t.vars.empty()) g = std::gcd(g, t.coef);
+    std::vector<Term> tightened;
+    for (const Term& t : e.terms()) {
+      if (g <= 1) {
+        tightened.push_back(t);
+      } else if (t.vars.empty()) {
+        // ceil(c / g): the constant of g*X + c <= 0 after dividing by g.
+        const std::int64_t q = t.coef / g + (t.coef % g != 0 && t.coef > 0 ? 1 : 0);
+        tightened.push_back(Term{q, {}});
+      } else {
+        tightened.push_back(Term{t.coef / g, t.vars});
+      }
+    }
+    EXPECT_EQ(Atom::rel(e, RelOp::LE).expr(), *referenceNormalize(tightened));
+  }
+}
+
+TEST(SymbolicPoisonTest, MergedArithmeticKeepsThePoisonRules) {
+  SymbolTable tab;
+  const SymExpr x = SymExpr::variable(tab.intern("x"));
+  const SymExpr y = SymExpr::variable(tab.intern("y"));
+  // A coefficient sum that overflows int64 poisons.
+  EXPECT_TRUE((SymExpr::constant(INT64_MAX) + SymExpr::constant(1)).isPoisoned());
+  EXPECT_TRUE((x.mulConst(INT64_MAX) + x + y).isPoisoned());
+  EXPECT_TRUE((x.mulConst(INT64_MIN) - x).isPoisoned());
+  EXPECT_TRUE((SymExpr::constant(INT64_MAX) + 1).isPoisoned());
+  // a - b poisons on an INT64_MIN coefficient in b, even where the exact
+  // difference would fit: -1*y - INT64_MIN*y is INT64_MAX*y.
+  const SymExpr minY = y.mulConst(INT64_MIN);
+  EXPECT_TRUE((-y - minY).isPoisoned());
+  EXPECT_TRUE((x - minY).isPoisoned());
+  EXPECT_TRUE((SymExpr() - minY).isPoisoned());
+  // No overflow, no poison; and a - b with b at INT64_MAX negates exactly.
+  EXPECT_EQ(x - x.mulConst(INT64_MAX), x.mulConst(-(INT64_MAX - 1)));
+  EXPECT_EQ(minY + y, y.mulConst(INT64_MIN + 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicPropertyTest, ::testing::Values(1u, 2u, 3u, 4u, 5u));
