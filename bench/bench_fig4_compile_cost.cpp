@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "harness.h"
+#include "panorama/analysis/driver.h"
 
 using namespace panorama;
 using namespace panorama::bench;
@@ -108,8 +109,8 @@ BenchResult run() {
     auto sr = analyze(*p, diags);
     Hsg hsg = buildHsg(*p, *sr, diags);
     SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-    LoopParallelizer lp(analyzer);
-    auto loops = lp.analyzeProgram();
+    ThreadPool pool(1);
+    auto loops = analyzeProgramParallel(analyzer, pool);
     double ms = secondsSince(t0) * 1000;
     std::printf("%8d | %9.1f | %11.3f   (%zu loops analyzed)\n", routines, ms,
                 ms / routines, loops.size());

@@ -4,7 +4,8 @@
 #     than no run);
 #   * a good run writes all three artifacts, and the profile is the §4.5
 #     cost-profile schema;
-#   * --annotate no longer drops the artifacts on the early-return path.
+#   * --annotate no longer drops the artifacts on the early-return path;
+#   * a single-file run prints the same report at 1 and 4 threads.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -209,4 +210,22 @@ if(NOT save_out STREQUAL batch_out)
 endif()
 if(NOT load_out STREQUAL batch_out)
   message(FATAL_ERROR "--load-session output diverges from the batch run:\n${load_out}\n-- vs --\n${batch_out}")
+endif()
+
+# One schedule at every thread count: a multi-procedure single-file run
+# prints byte-identical reports, summaries and HSGs at 1 and 4 threads.
+set(NLFILT "${CMAKE_CURRENT_LIST_DIR}/../corpus/TRACK_nlfilt_300.f")
+foreach(threads 1 4)
+  execute_process(
+    COMMAND "${DRIVER}" --explain --summaries --hsg "--threads=${threads}" "${NLFILT}"
+    RESULT_VARIABLE code OUTPUT_VARIABLE threads_out_${threads} ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "single-file run at --threads=${threads} failed (${code}): ${err}")
+  endif()
+endforeach()
+if(NOT threads_out_1 MATCHES "---- HSG of nlfilt ----")
+  message(FATAL_ERROR "single-file run printed no HSG for nlfilt:\n${threads_out_1}")
+endif()
+if(NOT threads_out_1 STREQUAL threads_out_4)
+  message(FATAL_ERROR "single-file output differs between 1 and 4 threads:\n${threads_out_1}\n-- vs --\n${threads_out_4}")
 endif()

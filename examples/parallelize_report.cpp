@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/deptest/deptest.h"
 #include "panorama/frontend/parser.h"
@@ -30,9 +31,9 @@ int main() {
     Hsg hsg = buildHsg(*program, *sema, diags);
     SummaryAnalyzer analyzer(*program, *sema, hsg, {});
     ConventionalAnalyzer conventional(*program, *sema);
-    LoopParallelizer lp(analyzer);
+    ThreadPool pool(1);
 
-    std::vector<LoopAnalysis> loops = lp.analyzeProgram();
+    std::vector<LoopAnalysis> loops = analyzeProgramParallel(analyzer, pool);
     auto verdicts = conventional.classifyProgram();
     for (const LoopAnalysis& la : loops) {
       ++total;

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 
 using namespace panorama;
@@ -42,8 +43,8 @@ int main() {
   Hsg hsg = buildHsg(*program, *sema, diags);
 
   SummaryAnalyzer analyzer(*program, *sema, hsg, AnalysisOptions{});
-  LoopParallelizer parallelizer(analyzer);
-  std::vector<LoopAnalysis> loops = parallelizer.analyzeProgram();
+  ThreadPool pool(1);  // more threads give the same reports
+  std::vector<LoopAnalysis> loops = analyzeProgramParallel(analyzer, pool);
 
   std::printf("Analysis of subroutine `smooth`\n");
   std::printf("===============================\n\n");

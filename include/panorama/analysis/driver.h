@@ -1,6 +1,8 @@
-// The parallel analysis driver: schedules per-procedure summary
-// construction in reverse-topological call-graph waves on a work-stealing
-// thread pool, then fans the per-loop analyses out across the same pool.
+// The analysis driver: schedules per-procedure summary construction in
+// reverse-topological call-graph waves on a work-stealing thread pool, then
+// fans the per-loop analyses out across the same pool. This is the one
+// schedule at every thread count, for batch runs and sessions alike; a
+// 1-thread pool runs each batch inline, in submission order.
 //
 // Correctness model (see DESIGN.md §"Parallel driver"):
 //   * Procedures in one wave only call procedures of earlier waves, so a
@@ -10,9 +12,8 @@
 //     respect to the analyzer, so they fan out freely once the summaries
 //     exist.
 //   * Symbolic query verdicts are memoized in the process-global QueryCache
-//     under exact structural keys; numThreads == 1 bypasses the wave
-//     scheduler entirely and runs the original serial driver, bit-identical
-//     to the pre-parallel analyzer.
+//     under exact structural keys, so a hit is the answer the cold path
+//     would compute and reports do not depend on the thread count.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +35,30 @@ namespace panorama {
 /// procedures keep their bottomUpOrder relative order (determinism).
 std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema);
 
-/// Parallel analogue of LoopParallelizer::analyzeProgram(): summarizes
-/// procedures wave-by-wave on `pool`, then analyzes every DO loop
-/// concurrently. The result vector order is identical to the serial
-/// driver's. With pool.threadCount() <= 1 this *is* the serial driver.
+/// Summarizes every procedure of `analyzer`'s program, one call-graph wave
+/// per pool batch. Procedures the analyzer was seeded with return from its
+/// memo without work.
+void summarizeInWaves(SummaryAnalyzer& analyzer, ThreadPool& pool);
+
+/// One DO loop to classify and the procedure that encloses it.
+struct LoopSite {
+  const Stmt* loop = nullptr;
+  const Procedure* proc = nullptr;
+};
+
+/// Classifies each site on `pool` (the enclosing procedures must already be
+/// summarized). The result is position-identical to `sites`.
+std::vector<LoopAnalysis> analyzeLoops(SummaryAnalyzer& analyzer,
+                                       const std::vector<LoopSite>& sites, ThreadPool& pool);
+
+/// summarizeInWaves, then analyzeLoops over every DO loop: procedures in
+/// bottomUpOrder, loops outermost first (doLoops). The result order is the
+/// same at every thread count.
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool);
 
 /// Everything one analyzed program owns. The analyzer keeps references into
-/// program/sema/hsg, so the four live (and die) together; `loops` is in the
-/// serial driver's walk order.
+/// program/sema/hsg, so the four live (and die) together; `loops` is in
+/// analyzeProgramParallel's order.
 struct ProgramAnalysis {
   Program program;
   SemaResult sema;
@@ -93,10 +109,10 @@ struct CorpusAnalysisResult {
 /// scheduling kernels — and the call-graph waves inside each — on one
 /// shared pool sized by options.numThreads, with the global query cache
 /// configured to options.cacheCapacity. Kernel and loop order in the
-/// result is fixed (corpus order, serial walk order) regardless of thread
-/// count. Quantified runs parallelize like any other: each analyzer
-/// carries its own ψ binding (PsiDims in CmpCtx), so kernels never share
-/// mutable symbolic state. `ingest` selects the direct parser path or the
+/// result is fixed (corpus order, then analyzeProgramParallel's order)
+/// regardless of thread count. Quantified runs parallelize like any other:
+/// each analyzer carries its own ψ binding (PsiDims in CmpCtx), so kernels
+/// never share mutable symbolic state. `ingest` selects the direct parser path or the
 /// builder round-trip replay (`--via-builder`); both must produce identical
 /// loop reports — CI diffs them.
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options = {},

@@ -140,6 +140,13 @@ struct Program {
   const Procedure* findProcedure(std::string_view name) const;
 };
 
+/// DO statements in pre-order, outermost first: the order every driver
+/// reports loops in. The procedure form is the statement form applied to
+/// each top-level body statement in turn, so a procedure's list is its
+/// items' lists concatenated in body order.
+std::vector<const Stmt*> doLoops(const Procedure& proc);
+std::vector<const Stmt*> doLoops(const Stmt& stmt);
+
 /// Pretty-printer (round-trippable enough for golden tests and examples).
 std::string toString(const Expr& e);
 std::string toString(const Stmt& s, int indent = 0);

@@ -21,8 +21,8 @@
 
 namespace panorama {
 
-/// Ablation switches — these are exactly the T1/T2/T3 columns of Table 1
-/// plus the simplifier knobs the §5.2 discussion motivates.
+/// Ablation switches — the T1/T2/T3 columns of Table 1 plus the §5.2
+/// extensions — and the execution options of the analysis driver.
 struct AnalysisOptions {
   bool symbolicAnalysis = true;  ///< T1: symbolic bounds/subscripts + substitution
   bool ifConditions = true;      ///< T2: IF conditions become guards
@@ -30,11 +30,11 @@ struct AnalysisOptions {
   bool quantified = false;       ///< §5.2 ∀-guard extension (MDG `RL`)
   bool computeDE = true;         ///< §3.2.2 DE sets (skippable to save time)
   bool garSimplifier = true;     ///< ablation: GAR list cleanup
-  SimplifyOptions simplify;      ///< predicate-simplifier budgets
 
   // ----- execution options (the parallel analysis driver) -----
   /// Analysis workers, calling thread included. 0 = hardware_concurrency().
-  /// 1 selects the serial path, bit-identical to the pre-driver analyzer.
+  /// Every count runs the same wave schedule with identical reports; at 1
+  /// the pool runs each batch inline, in submission order.
   std::size_t numThreads = 0;
   /// Incremental sessions: reuse cached per-loop verdicts inside *modified*
   /// procedures when the loop's statement subtree, downstream suffix,

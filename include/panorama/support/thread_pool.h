@@ -9,8 +9,9 @@
 // deadlock-free.
 //
 // With threadCount() == 1 no workers exist and runBatch executes the tasks
-// inline, in submission order, on the calling thread — the serial path the
-// determinism tests compare against.
+// inline, in submission order, on the calling thread. That is why the
+// analysis driver has one schedule for every thread count and no serial
+// branch of its own.
 #pragma once
 
 #include <atomic>

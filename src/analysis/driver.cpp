@@ -52,51 +52,46 @@ std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema
   return waves;
 }
 
-std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool) {
-  LoopParallelizer lp(analyzer);
-  if (pool.threadCount() <= 1) return lp.analyzeProgram();  // serial, bit-identical
-
+void summarizeInWaves(SummaryAnalyzer& analyzer, ThreadPool& pool) {
   // Wave k's procedures only call procedures summarized in earlier waves,
   // so each batch races on nothing but the (lock-guarded) memo maps.
   std::size_t waveIndex = 0;
   for (const auto& wave : callGraphWaves(analyzer.sema())) {
-    obs::Span waveSpan("summary.wave", "wave " + std::to_string(waveIndex++));
-    if (waveSpan.active()) waveSpan.arg("procedures", std::to_string(wave.size()));
+    obs::Span waveSpan("summary.wave", "wave");
+    if (waveSpan.active()) {
+      waveSpan.arg("wave", std::to_string(waveIndex));
+      waveSpan.arg("procedures", std::to_string(wave.size()));
+    }
+    ++waveIndex;
     std::vector<std::function<void()>> tasks;
     tasks.reserve(wave.size());
     for (const Procedure* p : wave)
       tasks.push_back([&analyzer, p] { analyzer.procSummary(*p); });
     pool.runBatch(std::move(tasks));
   }
+}
 
-  // Fan the per-loop analyses out. Loops are collected in the serial
-  // driver's walk order and written by index, so the result vector is
-  // position-identical to analyzeProgram() regardless of completion order.
-  struct Item {
-    const Stmt* loop;
-    const Procedure* proc;
-  };
-  std::vector<Item> items;
-  for (const Procedure* proc : analyzer.sema().bottomUpOrder) {
-    std::function<void(const std::vector<StmtPtr>&)> walk =
-        [&](const std::vector<StmtPtr>& body) {
-          for (const StmtPtr& s : body) {
-            if (s->kind == Stmt::Kind::Do) items.push_back({s.get(), proc});
-            walk(s->thenBody);
-            walk(s->elseBody);
-            walk(s->body);
-          }
-        };
-    walk(proc->body);
-  }
-
-  std::vector<LoopAnalysis> out(items.size());
+std::vector<LoopAnalysis> analyzeLoops(SummaryAnalyzer& analyzer,
+                                       const std::vector<LoopSite>& sites, ThreadPool& pool) {
+  // Results are written by index, so the output is position-identical to
+  // `sites` regardless of completion order.
+  LoopParallelizer lp(analyzer);
+  std::vector<LoopAnalysis> out(sites.size());
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k)
-    tasks.push_back([&lp, &out, &items, k] { out[k] = lp.analyzeLoop(*items[k].loop, *items[k].proc); });
+  tasks.reserve(sites.size());
+  for (std::size_t k = 0; k < sites.size(); ++k)
+    tasks.push_back(
+        [&lp, &out, &sites, k] { out[k] = lp.analyzeLoop(*sites[k].loop, *sites[k].proc); });
   pool.runBatch(std::move(tasks));
   return out;
+}
+
+std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool) {
+  summarizeInWaves(analyzer, pool);
+  std::vector<LoopSite> sites;
+  for (const Procedure* proc : analyzer.sema().bottomUpOrder)
+    for (const Stmt* loop : doLoops(*proc)) sites.push_back({loop, proc});
+  return analyzeLoops(analyzer, sites, pool);
 }
 
 ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& options,

@@ -94,6 +94,29 @@ const VarDecl* Procedure::findDecl(std::string_view name) const {
   return it == decls.end() ? nullptr : &*it;
 }
 
+namespace {
+
+void appendDoLoops(const Stmt& s, std::vector<const Stmt*>& out) {
+  if (s.kind == Stmt::Kind::Do) out.push_back(&s);
+  for (const StmtPtr& c : s.thenBody) appendDoLoops(*c, out);
+  for (const StmtPtr& c : s.elseBody) appendDoLoops(*c, out);
+  for (const StmtPtr& c : s.body) appendDoLoops(*c, out);
+}
+
+}  // namespace
+
+std::vector<const Stmt*> doLoops(const Procedure& proc) {
+  std::vector<const Stmt*> out;
+  for (const StmtPtr& s : proc.body) appendDoLoops(*s, out);
+  return out;
+}
+
+std::vector<const Stmt*> doLoops(const Stmt& stmt) {
+  std::vector<const Stmt*> out;
+  appendDoLoops(stmt, out);
+  return out;
+}
+
 const Procedure* Program::findProcedure(std::string_view name) const {
   auto it = std::find_if(procedures.begin(), procedures.end(),
                          [&](const Procedure& p) { return p.name == name; });

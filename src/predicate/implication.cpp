@@ -48,7 +48,10 @@ void appendExpr(std::string& out, const SymExpr& e) {
   }
 }
 
-void appendVar(std::string& out, VarId v) { out += "v" + std::to_string(v.value); }
+void appendVar(std::string& out, VarId v) {
+  out += 'v';
+  out += std::to_string(v.value);
+}
 
 void appendAtom(std::string& out, const Atom& a) {
   switch (a.kind()) {

@@ -31,7 +31,6 @@
 #include "panorama/session/session.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -42,41 +41,6 @@
 #include "panorama/support/memo_cache.h"
 
 namespace panorama {
-
-namespace {
-
-/// DO statements of a procedure, outermost first, in the pre-order walk the
-/// batch drivers report loops in.
-std::vector<const Stmt*> collectLoops(const Procedure& proc) {
-  std::vector<const Stmt*> out;
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& s : body) {
-      if (s->kind == Stmt::Kind::Do) out.push_back(s.get());
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  walk(proc.body);
-  return out;
-}
-
-/// DO statements of one top-level body statement, same pre-order. The flat
-/// collectLoops order is exactly the per-item lists concatenated in body
-/// order, which is what lets Unit::loops partition into item ranges.
-std::vector<const Stmt*> collectItemLoops(const Stmt& item) {
-  std::vector<const Stmt*> out;
-  std::function<void(const Stmt&)> walk = [&](const Stmt& s) {
-    if (s.kind == Stmt::Kind::Do) out.push_back(&s);
-    for (const StmtPtr& c : s.thenBody) walk(*c);
-    for (const StmtPtr& c : s.elseBody) walk(*c);
-    for (const StmtPtr& c : s.body) walk(*c);
-  };
-  walk(item);
-  return out;
-}
-
-}  // namespace
 
 AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
   optionsKey_ = optionsKey(options_);
@@ -106,11 +70,6 @@ std::uint64_t AnalysisSession::optionsKey(const AnalysisOptions& options) {
   mix(options.quantified);
   mix(options.computeDE);
   mix(options.garSimplifier);
-  mix(options.simplify.maxClauses);
-  mix(options.simplify.maxAtomsPerClause);
-  mix(options.simplify.useFourierMotzkin);
-  mix(options.simplify.fmBudget.maxConstraints);
-  mix(options.simplify.fmBudget.maxVariables);
   // numThreads, cacheCapacity, and loopGranularReuse are execution options:
   // the driver guarantees identical results across all of them.
   return h;
@@ -165,12 +124,17 @@ AnalysisSession::Status AnalysisSession::status() const {
   return s;
 }
 
+namespace {
+
+/// The `procName: DO var (line N): ` prefix formatLoopAnalysis opens with.
+std::string loopHeader(const std::string& procName, const std::string& doVar, int line) {
+  return procName + ": DO " + doVar + " (line " + std::to_string(line) + "): ";
+}
+
+}  // namespace
+
 std::string AnalysisSession::composeLoopReport(const CachedLoop& cl) {
-  // An empty doVar marks an unsplittable cached report (v1 snapshot whose
-  // header did not parse); the tail then carries the full original string.
-  if (cl.doVar.empty()) return cl.reportTail;
-  return cl.procName + ": DO " + cl.doVar + " (line " + std::to_string(cl.line) +
-         "): " + cl.reportTail;
+  return loopHeader(cl.procName, cl.doVar, cl.line) + cl.reportTail;
 }
 
 AnalysisSession::CachedLoop AnalysisSession::cacheLoopAnalysis(const LoopAnalysis& la) {
@@ -179,32 +143,10 @@ AnalysisSession::CachedLoop AnalysisSession::cacheLoopAnalysis(const LoopAnalysi
   cl.classification = la.classification;
   cl.procName = la.procName;
   cl.doVar = la.loop ? la.loop->doVar : "?";
-  std::string report = formatLoopAnalysis(la);
-  const std::string prefix =
-      cl.procName + ": DO " + cl.doVar + " (line " + std::to_string(cl.line) + "): ";
-  if (report.starts_with(prefix)) {
-    cl.reportTail = report.substr(prefix.size());
-  } else {  // unreachable with the current report layer; keep the full text
-    cl.doVar.clear();
-    cl.reportTail = std::move(report);
-  }
+  const std::size_t headerSize = loopHeader(cl.procName, cl.doVar, cl.line).size();
+  cl.reportTail = formatLoopAnalysis(la).substr(headerSize);
   cl.provenance = formatProvenance(la);
   return cl;
-}
-
-bool AnalysisSession::splitLoopReport(const std::string& report, CachedLoop& cl) {
-  // v1 snapshots cached the composed string; recover (doVar, tail) from the
-  // fixed header layout `proc: DO var (line N): tail`.
-  const std::string doPrefix = cl.procName + ": DO ";
-  if (!report.starts_with(doPrefix)) return false;
-  const std::size_t varBegin = doPrefix.size();
-  const std::size_t lineMark = report.find(" (line ", varBegin);
-  if (lineMark == std::string::npos) return false;
-  const std::size_t tailMark = report.find("): ", lineMark);
-  if (tailMark == std::string::npos) return false;
-  cl.doVar = report.substr(varBegin, lineMark - varBegin);
-  cl.reportTail = report.substr(tailMark + 3);
-  return !cl.doVar.empty();
 }
 
 SessionResult AnalysisSession::submit(const std::string& source) {
@@ -404,7 +346,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       Procedure* prev = const_cast<Procedure*>(program_.findProcedure(p.name));
       if (!prev || !remapSourceLocs(*prev, p)) continue;
       Unit& u = units_.at(p.name);
-      std::vector<const Stmt*> loops = collectLoops(*prev);
+      std::vector<const Stmt*> loops = doLoops(*prev);
       if (loops.size() != u.loops.size()) continue;  // defensive; never with our own caches
       for (std::size_t k = 0; k < loops.size(); ++k) {
         const int line = static_cast<int>(loops[k]->loc.line);
@@ -547,9 +489,8 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     for (const ItemMatch& m : matches) {
       if (m.oldIdx >= oldProc->body.size()) continue;
       const ItemRecord& oi = old.items[m.oldIdx];
-      std::vector<const Stmt*> oldDos = collectItemLoops(*oldProc->body[m.oldIdx]);
-      std::vector<const Stmt*> newDos =
-          keepsOldAst ? oldDos : collectItemLoops(*newProc->body[m.newIdx]);
+      std::vector<const Stmt*> oldDos = doLoops(*oldProc->body[m.oldIdx]);
+      std::vector<const Stmt*> newDos = keepsOldAst ? oldDos : doLoops(*newProc->body[m.newIdx]);
       // Consistency guards (violable only via a fingerprint collision or a
       // foreign snapshot): the cached range and both subtrees must agree.
       if (oldDos.size() != newDos.size() || oi.loopCount != oldDos.size()) continue;
@@ -630,54 +571,19 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   // Call-graph waves: clean procedures return from the memo instantly, so
   // only the dirty cone does summary work — with every callee summary
   // already resident, exactly like a batch run.
-  if (pool_->threadCount() <= 1) {
-    for (const Procedure* p : sema_.bottomUpOrder) analyzer_->procSummary(*p);
-  } else {
-    std::size_t waveIdx = 0;
-    for (const std::vector<const Procedure*>& wave : callGraphWaves(sema_)) {
-      obs::Span wspan("summary", "summary.wave");
-      if (wspan.active()) {
-        wspan.arg("wave", std::to_string(waveIdx));
-        wspan.arg("procs", std::to_string(wave.size()));
-      }
-      ++waveIdx;
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(wave.size());
-      for (const Procedure* p : wave)
-        tasks.push_back([this, p] { analyzer_->procSummary(*p); });
-      pool_->runBatch(std::move(tasks));
-    }
-  }
+  summarizeInWaves(*analyzer_, *pool_);
 
   // 10. Loop fan-out over dirty procedures' unmatched loops only.
-  struct WorkItem {
-    const Stmt* loop = nullptr;
-    const Procedure* proc = nullptr;
-  };
-  std::vector<WorkItem> items;
+  std::vector<LoopSite> sites;
   for (const Procedure* proc : sema_.bottomUpOrder) {
     if (clean.count(proc->name)) continue;
     const auto reused = reusedLoops.find(proc->name);
-    for (const Stmt* s : collectLoops(*proc)) {
+    for (const Stmt* s : doLoops(*proc)) {
       if (reused != reusedLoops.end() && reused->second.count(s)) continue;
-      items.push_back({s, proc});
+      sites.push_back({s, proc});
     }
   }
-
-  LoopParallelizer parallelizer(*analyzer_);
-  std::vector<LoopAnalysis> dirtyLoops(items.size());
-  if (pool_->threadCount() <= 1 || items.size() <= 1) {
-    for (std::size_t k = 0; k < items.size(); ++k)
-      dirtyLoops[k] = parallelizer.analyzeLoop(*items[k].loop, *items[k].proc);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(items.size());
-    for (std::size_t k = 0; k < items.size(); ++k)
-      tasks.push_back([&parallelizer, &dirtyLoops, &items, k] {
-        dirtyLoops[k] = parallelizer.analyzeLoop(*items[k].loop, *items[k].proc);
-      });
-    pool_->runBatch(std::move(tasks));
-  }
+  std::vector<LoopAnalysis> dirtyLoops = analyzeLoops(*analyzer_, sites, *pool_);
 
   // 11. Rebuild the unit table: dirty units take this epoch, fresh deps
   // (SUM_call edges ∪ the items' resolved syntactic callees — seeded loops
@@ -685,9 +591,9 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   // record), and loop caches interleaving reused and fresh verdicts in walk
   // order; clean units keep everything. Item records are refreshed for
   // every unit from this submit's detail (incoming content ≡ kept content
-  // for clean units), which also upgrades v1-restored units in place.
+  // for clean units).
   std::map<const Stmt*, const LoopAnalysis*> freshByStmt;
-  for (std::size_t k = 0; k < items.size(); ++k) freshByStmt.emplace(items[k].loop, &dirtyLoops[k]);
+  for (std::size_t k = 0; k < sites.size(); ++k) freshByStmt.emplace(sites[k].loop, &dirtyLoops[k]);
   std::map<std::string, std::set<std::string>> deps = analyzer_->callDependencies();
 
   std::map<std::string, Unit> nextUnits;
@@ -710,7 +616,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       if (auto d = deps.find(p.name); d != deps.end()) u.deps = std::move(d->second);
       const auto reused = reusedLoops.find(p.name);
       for (const StmtPtr& item : p.body) {
-        for (const Stmt* s : collectItemLoops(*item)) {
+        for (const Stmt* s : doLoops(*item)) {
           if (reused != reusedLoops.end()) {
             if (auto rl = reused->second.find(s); rl != reused->second.end()) {
               stats.loopReuse.push_back(
@@ -742,7 +648,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       rec.precedingHash = nd.items[j].precedingHash;
       rec.hasLoop = nd.items[j].hasLoop;
       rec.loopBegin = static_cast<std::uint32_t>(loopCursor);
-      rec.loopCount = static_cast<std::uint32_t>(collectItemLoops(*p.body[j]).size());
+      rec.loopCount = static_cast<std::uint32_t>(doLoops(*p.body[j]).size());
       loopCursor += rec.loopCount;
       for (const std::string& callee : nd.items[j].callees)
         if (incomingNames.count(callee)) rec.calleeEpochs[callee] = 0;  // filled below
@@ -803,7 +709,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     }
   }
   stats.loopsReused += stats.loopSkips;
-  stats.loopsRecomputed = items.size();
+  stats.loopsRecomputed = sites.size();
   stats.fileSkips = fileSkips_;
 
   out.ok = true;

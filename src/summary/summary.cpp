@@ -56,16 +56,9 @@ const std::set<VarId>& SummaryAnalyzer::indexVarsOf(const ProcSymbols& sym) cons
     if (it != indexVarCache_.end()) return it->second;
   }
   std::set<VarId> out;
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& b) {
-    for (const StmtPtr& s : b) {
-      if (s->kind == Stmt::Kind::Do)
-        if (auto id = sym.scalarId(s->doVar)) out.insert(*id);
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  if (sym.proc) walk(sym.proc->body);
+  if (sym.proc)
+    for (const Stmt* s : doLoops(*sym.proc))
+      if (auto id = sym.scalarId(s->doVar)) out.insert(*id);
   std::unique_lock<std::shared_mutex> lock(indexVarMutex_);
   return indexVarCache_.emplace(sym.proc, std::move(out)).first->second;
 }
@@ -363,9 +356,9 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
     auto it = procSummaries_.find(&proc);
     if (it != procSummaries_.end()) return it->second;
   }
-  // Compute unlocked. The parallel driver's wave schedule guarantees every
-  // callee summary already exists, so the recursive lookups below are
-  // read-only; under the serial path this is plain memoization.
+  // Compute unlocked. The driver's wave schedule guarantees every callee
+  // summary already exists, so the recursive lookups below are read-only;
+  // direct callers outside the driver (analyzeAll) get plain memoization.
   obs::Span span("summary.proc", proc.name);
   const ProcSymbols& sym = sema_.of(proc);
   GarList mod;
@@ -430,18 +423,10 @@ SummaryAnalyzer::ProcSnapshot SummaryAnalyzer::snapshotProcedure(const Procedure
     }
   }
   std::shared_lock<std::shared_mutex> lock(loopMutex_);
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& b) {
-    for (const StmtPtr& s : b) {
-      if (s->kind == Stmt::Kind::Do) {
-        auto it = loopSummaries_.find(s.get());
-        if (it != loopSummaries_.end()) snap.loops.emplace_back(s.get(), it->second);
-      }
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  walk(proc.body);
+  for (const Stmt* s : doLoops(proc)) {
+    auto it = loopSummaries_.find(s);
+    if (it != loopSummaries_.end()) snap.loops.emplace_back(s, it->second);
+  }
   return snap;
 }
 

@@ -231,7 +231,7 @@ struct Parser {
 }  // namespace
 
 std::optional<JsonValue> JsonValue::parse(std::string_view text, std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   JsonValue out;
   if (!p.parseValue(out)) {
     if (error) *error = p.error;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 
 namespace panorama {
@@ -21,7 +22,7 @@ struct AnalysisRun {
     std::size_t seen = 0;
     for (const LoopAnalysis& la : loops) {
       if (la.procName != procName) continue;
-      // analyzeProgram visits outer loops before their nested loops.
+      // Loops are reported outermost first (doLoops order).
       if (seen++ == index) return la;
     }
     ADD_FAILURE() << "loop not found in " << procName;
@@ -42,8 +43,8 @@ AnalysisRun runAnalysis(std::string_view src, AnalysisOptions options = {}) {
   r.hsg = buildHsg(r.program, r.sema, diags);
   EXPECT_FALSE(diags.hasErrors()) << diags.str();
   r.analyzer = std::make_unique<SummaryAnalyzer>(r.program, r.sema, r.hsg, options);
-  LoopParallelizer lp(*r.analyzer);
-  r.loops = lp.analyzeProgram();
+  ThreadPool pool(1);
+  r.loops = analyzeProgramParallel(*r.analyzer, pool);
   return r;
 }
 

@@ -3,6 +3,7 @@
 // re-parse, re-analyze, and execute identically.
 #include <gtest/gtest.h>
 
+#include "panorama/analysis/driver.h"
 #include "panorama/codegen/annotate.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
@@ -31,8 +32,8 @@ Annotated annotate(std::string_view src, AnalysisOptions options = {}) {
   a.sema = std::move(*sr);
   a.hsg = buildHsg(a.program, a.sema, diags);
   a.analyzer = std::make_unique<SummaryAnalyzer>(a.program, a.sema, a.hsg, options);
-  LoopParallelizer lp(*a.analyzer);
-  a.loops = lp.analyzeProgram();
+  ThreadPool pool(1);
+  a.loops = analyzeProgramParallel(*a.analyzer, pool);
   a.output = emitParallelSource(a.program, a.loops);
   return a;
 }

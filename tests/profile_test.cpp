@@ -2,16 +2,19 @@
 // span forests (the selfNs invariant, outermost-only loop/query
 // attribution, top-K ordering), JSON schema validity via the support JSON
 // parser, and the real-pipeline contracts — per-phase totals summing to the
-// corpus wall time at one thread, and thread-shape-independent aggregate
-// counts across {1, 4, 8} analysis threads with the query cache off.
+// corpus wall time at one thread, thread-shape-independent aggregate
+// counts across {1, 4, 8} analysis threads with the query cache off, and a
+// session submit's summaries profiled under the driver's wave spans.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "panorama/analysis/driver.h"
+#include "panorama/corpus/corpus.h"
 #include "panorama/obs/profile.h"
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/predicate.h"
+#include "panorama/session/session.h"
 #include "panorama/support/json.h"
 
 namespace panorama {
@@ -292,6 +295,14 @@ class ProfilePipelineTest : public ::testing::Test {
   }
 };
 
+/// Spans of `category` anywhere in the phase forest.
+std::uint64_t spansOf(const std::vector<PhaseNode>& nodes, std::string_view category) {
+  std::uint64_t n = 0;
+  for (const PhaseNode& node : nodes)
+    n += (node.category == category ? node.count : 0) + spansOf(node.children, category);
+  return n;
+}
+
 TEST_F(ProfilePipelineTest, SingleThreadPhaseTotalsSumToWallTime) {
   CostProfile p = profileCorpusRun(1);
   ASSERT_FALSE(p.phases.empty());
@@ -314,8 +325,8 @@ TEST_F(ProfilePipelineTest, AggregateCountsAreThreadShapeIndependent) {
   ASSERT_FALSE(base.loops.empty());
   for (std::size_t threads : {4u, 8u}) {
     const CostProfile& p = profiles.at(threads);
-    // Total span count varies with the thread shape (per-wave scheduling
-    // spans); the attribution aggregates below must not.
+    // Total span count may vary with the thread shape; the attribution
+    // aggregates below must not.
     EXPECT_GT(p.events, 0u) << threads << " threads";
     ASSERT_EQ(p.procedures.size(), base.procedures.size());
     ASSERT_EQ(p.loops.size(), base.loops.size());
@@ -341,6 +352,28 @@ TEST_F(ProfilePipelineTest, AggregateCountsAreThreadShapeIndependent) {
       EXPECT_EQ(it->second->coldQueries, expected.coldQueries);
     }
   }
+}
+
+TEST_F(ProfilePipelineTest, SessionSubmitProfilesItsWavesAsTheDriverDoes) {
+  // A session schedules summaries through the batch driver's waves, so its
+  // profile shows the driver's summary.wave spans and no other wave node.
+  const CorpusLoop* kernel = nullptr;
+  for (const CorpusLoop& cl : perfectCorpus())
+    if (cl.id == "TRACK nlfilt/300") kernel = &cl;
+  ASSERT_NE(kernel, nullptr);
+
+  AnalysisOptions options;
+  options.numThreads = 4;
+  AnalysisSession session(options);
+  obs::Tracer::global().enable();
+  SessionResult result = session.submit(kernel->source);
+  obs::Tracer::global().disable();
+  ASSERT_TRUE(result.ok) << result.error;
+  CostProfile p = buildCostProfile(obs::Tracer::global().snapshot());
+
+  EXPECT_GE(spansOf(p.phases, "summary.wave"), 2u);  // a multi-level call graph
+  EXPECT_EQ(spansOf(p.phases, "summary"), 0u);
+  EXPECT_GT(spansOf(p.phases, "summary.proc"), 0u);
 }
 
 TEST_F(ProfilePipelineTest, TopQueriesCarryRenderedExpressionsFromTheRealPipeline) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
 
@@ -158,8 +159,8 @@ TEST(RobustnessTest, DeepNesting) {
   ASSERT_TRUE(sr.has_value());
   Hsg hsg = buildHsg(*p, *sr, diags);
   SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-  LoopParallelizer lp(analyzer);
-  auto loops = lp.analyzeProgram();
+  ThreadPool pool(1);
+  auto loops = analyzeProgramParallel(analyzer, pool);
   ASSERT_EQ(loops.size(), 6u);
   // The i4 loop privatizes `a`.
   bool found = false;

@@ -303,9 +303,6 @@ TEST(SessionTest, OptionsChangeWithWarmMemosMatchesColdSession) {
   AnalysisOptions changed;
   changed.quantified = true;
   changed.ifConditions = false;
-  changed.simplify.maxClauses = 4;
-  changed.simplify.maxAtomsPerClause = 2;
-  changed.simplify.fmBudget.maxConstraints = 4;
   std::size_t kernelsChanged = 0;
   for (const CorpusLoop& cl : perfectCorpus()) {
     AnalysisSession warmSession;
