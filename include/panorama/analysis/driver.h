@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,12 +76,6 @@ struct ProgramAnalysis {
 ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& options,
                                    ThreadPool& pool);
 
-/// How corpus kernels become Programs.
-enum class CorpusIngest : std::uint8_t {
-  Parse,             ///< F77 parser, directly
-  BuilderRoundTrip,  ///< parse → builder::rebuild() → analyze (validation replay)
-};
-
 /// One analyzed loop of one corpus kernel.
 struct CorpusRoutineResult {
   std::string kernelId;   ///< CorpusLoop::id, e.g. "TRACK nlfilt/300"
@@ -112,11 +105,8 @@ struct CorpusAnalysisResult {
 /// result is fixed (corpus order, then analyzeProgramParallel's order)
 /// regardless of thread count. Quantified runs parallelize like any other:
 /// each analyzer carries its own ψ binding (PsiDims in CmpCtx), so kernels
-/// never share mutable symbolic state. `ingest` selects the direct parser path or the
-/// builder round-trip replay (`--via-builder`); both must produce identical
-/// loop reports — CI diffs them.
-CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options = {},
-                                           CorpusIngest ingest = CorpusIngest::Parse);
+/// never share mutable symbolic state.
+CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options = {});
 
 /// Publishes every counter of a corpus run — classifications, summary cost,
 /// query-cache and simplify-memo counters, provenance volume — into the

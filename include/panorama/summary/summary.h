@@ -22,27 +22,18 @@
 namespace panorama {
 
 /// Ablation switches — the T1/T2/T3 columns of Table 1 plus the §5.2
-/// extensions — and the execution options of the analysis driver.
+/// quantified extension — and the execution options of the analysis driver.
 struct AnalysisOptions {
   bool symbolicAnalysis = true;  ///< T1: symbolic bounds/subscripts + substitution
   bool ifConditions = true;      ///< T2: IF conditions become guards
   bool interprocedural = true;   ///< T3: CALL summaries instead of Ω
   bool quantified = false;       ///< §5.2 ∀-guard extension (MDG `RL`)
-  bool computeDE = true;         ///< §3.2.2 DE sets (skippable to save time)
-  bool garSimplifier = true;     ///< ablation: GAR list cleanup
 
   // ----- execution options (the parallel analysis driver) -----
   /// Analysis workers, calling thread included. 0 = hardware_concurrency().
   /// Every count runs the same wave schedule with identical reports; at 1
   /// the pool runs each batch inline, in submission order.
   std::size_t numThreads = 0;
-  /// Incremental sessions: reuse cached per-loop verdicts inside *modified*
-  /// procedures when the loop's statement subtree, downstream suffix,
-  /// declaration frame, and callee summary epochs are all unchanged.
-  /// Execution-only (reports are byte-identical either way — the session
-  /// excludes it from the options key); false restores procedure-granular
-  /// reuse, kept as the bench_incremental comparison baseline.
-  bool loopGranularReuse = true;
   /// Entry capacity of each global memo (the verdict cache and the
   /// simplify memo); 0 disables memoization (every query is answered cold).
   std::size_t cacheCapacity = QueryCache::kDefaultCapacity;
@@ -155,10 +146,10 @@ class SummaryAnalyzer {
 
   // ----- internal building blocks, exposed for white-box tests -----
 
-  /// Folds one basic block backward through (mod, ue) — §4.1's SUM_bb plus
-  /// the on-the-fly substitution of the step-2 note.
+  /// Folds one basic block backward through (mod, ue, de) — §4.1's SUM_bb
+  /// plus the on-the-fly substitution of the step-2 note.
   void foldBlockBackward(const HsgNode& block, const ProcSymbols& sym, GarList& mod,
-                         GarList& ue, GarList* de = nullptr);
+                         GarList& ue, GarList& de);
 
   /// Lowers an array reference to a (point-per-dimension) region.
   Region lowerRef(const Expr& ref, const ProcSymbols& sym);
@@ -171,7 +162,7 @@ class SummaryAnalyzer {
   };
 
   void sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarList& mod, GarList& ue,
-                  GarList* de = nullptr);
+                  GarList& de);
   NodeSets sumLoop(const HsgNode& loop, const ProcSymbols& sym);
   NodeSets sumCall(const HsgNode& call, const ProcSymbols& sym);
   NodeSets sumCondensed(const HsgNode& node, const ProcSymbols& sym);

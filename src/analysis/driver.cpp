@@ -7,7 +7,6 @@
 #include <memory>
 #include <utility>
 
-#include "panorama/builder/builder.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/hsg/hsg.h"
@@ -130,8 +129,7 @@ struct KernelJob {
   ProgramAnalysis pa;
 };
 
-void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
-               CorpusIngest ingest) {
+void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool) {
   obs::Span span("corpus.kernel", job.cl->id);
   DiagnosticEngine diags;
   auto parsed = [&] {
@@ -139,22 +137,12 @@ void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
     return parseProgram(job.cl->source, diags);
   }();
   if (!parsed) return;
-  Program program = std::move(*parsed);
-  if (ingest == CorpusIngest::BuilderRoundTrip) {
-    obs::Span s("frontend.rebuild", job.cl->id);
-    builder::BuildResult rebuilt = builder::rebuild(program);
-    if (!rebuilt.ok()) {
-      job.pa.error = rebuilt.error();
-      return;
-    }
-    program = std::move(*rebuilt.program);
-  }
-  job.pa = analyzeProgramUnit(std::move(program), options, pool);
+  job.pa = analyzeProgramUnit(std::move(*parsed), options, pool);
 }
 
 }  // namespace
 
-CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, CorpusIngest ingest) {
+CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options) {
   obs::Span span("corpus.run", "perfect corpus");
   // A corpus run is cold: both memos start empty, with fresh counters.
   QueryCache::global().configure(options.cacheCapacity);
@@ -172,7 +160,7 @@ CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, Corpu
   std::vector<std::function<void()>> tasks;
   tasks.reserve(jobs.size());
   for (KernelJob& job : jobs)
-    tasks.push_back([&job, &options, &pool, ingest] { runKernel(job, options, pool, ingest); });
+    tasks.push_back([&job, &options, &pool] { runKernel(job, options, pool); });
   pool.runBatch(std::move(tasks));
 
   CorpusAnalysisResult result;

@@ -68,10 +68,8 @@ std::uint64_t AnalysisSession::optionsKey(const AnalysisOptions& options) {
   mix(options.ifConditions);
   mix(options.interprocedural);
   mix(options.quantified);
-  mix(options.computeDE);
-  mix(options.garSimplifier);
-  // numThreads, cacheCapacity, and loopGranularReuse are execution options:
-  // the driver guarantees identical results across all of them.
+  // numThreads and cacheCapacity are execution options: the driver
+  // guarantees identical results across all of them.
   return h;
 }
 
@@ -381,7 +379,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     if (clean.count(name)) return units_.at(name).summaryEpoch;
     return incomingNames.count(name) ? newEpoch : 0;
   };
-  if (!fullInvalidation && options_.loopGranularReuse) {
+  if (!fullInvalidation) {
     for (const Procedure& p : incoming.procedures) {
       if (clean.count(p.name)) continue;
       auto uit = units_.find(p.name);

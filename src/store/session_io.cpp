@@ -633,8 +633,10 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
   head.u8(options_.ifConditions ? 1 : 0);
   head.u8(options_.interprocedural ? 1 : 0);
   head.u8(options_.quantified ? 1 : 0);
-  head.u8(options_.computeDE ? 1 : 0);
-  head.u8(options_.garSimplifier ? 1 : 0);
+  // Two retired switches (DE sets, GAR simplifier), always on now; kept at
+  // 1 so the v2 head keeps its layout.
+  head.u8(1);
+  head.u8(1);
   // 34 reserved bytes, once the prefilter option and the simplifier
   // budgets (options no analysis step read). Written as those options'
   // defaults, so the head keeps its layout; readers skip them.
@@ -798,13 +800,21 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
     return res;
   };
 
-  AnalysisOptions opts;
+  // Execution options are not part of the snapshot; the restoring session
+  // keeps its own and adopts only the analysis switches.
+  AnalysisOptions opts = options_;
   opts.symbolicAnalysis = r.u8() != 0;
   opts.ifConditions = r.u8() != 0;
   opts.interprocedural = r.u8() != 0;
   opts.quantified = r.u8() != 0;
-  opts.computeDE = r.u8() != 0;
-  opts.garSimplifier = r.u8() != 0;
+  // The retired switches (see save): a snapshot taken with either one off
+  // holds verdicts a cold run of the current analysis could contradict.
+  const std::uint8_t deSets = r.u8();
+  const std::uint8_t simplifier = r.u8();
+  if (r.ok() && (deSets != 1 || simplifier != 1))
+    return failed("snapshot was saved with the retired DE-set or GAR-simplifier switch "
+                  "off; its cached verdicts may differ from a cold run, re-analyze the "
+                  "source instead");
   // The reserved head bytes (see save): skipped.
   r.u8();
   r.u64();
@@ -812,10 +822,6 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   r.u8();
   r.u64();
   r.u64();
-  // Execution knobs are not part of the snapshot; the restoring session
-  // keeps its own.
-  opts.numThreads = options_.numThreads;
-  opts.cacheCapacity = options_.cacheCapacity;
 
   const std::uint64_t epoch = r.u64();
   const std::uint64_t lastSourceHash = r.u64();

@@ -6,7 +6,7 @@
 namespace panorama {
 
 void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols& sym,
-                                        GarList& mod, GarList& ue, GarList* de) {
+                                        GarList& mod, GarList& ue, GarList& de) {
   ++stats_.blockSteps;
   for (auto it = block.stmts.rbegin(); it != block.stmts.rend(); ++it) {
     const Stmt& s = **it;
@@ -20,18 +20,16 @@ void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols&
       addUses(*s.rhs, sym, uses);
       for (const ExprPtr& sub : s.lhs->args) addUses(*sub, sym, uses);  // subscripts read
       ue = garUnion(ue, uses, ctx_, &sema_.arrays);
-      if (de) {
-        // DE (§3.2.2): a use survives only past the writes that follow it —
-        // which is exactly `mod` at this point (own write included, so the
-        // read of A(i) = A(i)+1 is not downward exposed).
-        *de = garUnion(*de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
-      }
+      // DE (§3.2.2): a use survives only past the writes that follow it —
+      // which is exactly `mod` at this point (own write included, so the
+      // read of A(i) = A(i)+1 is not downward exposed).
+      de = garUnion(de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
       if (options_.quantified) {
         if (auto id = sym.arrayId(s.lhs->name)) {
           std::vector<ArrayId> written{*id};
           taintQuantified(ue, written);
           taintQuantified(mod, written);
-          if (de) taintQuantified(*de, written);
+          taintQuantified(de, written);
         }
       }
       note(mod);
@@ -48,12 +46,12 @@ void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols&
         SymExpr value = lowerValue(*s.rhs, sym);
         if (mod.containsVar(*id)) mod = mod.substituted(*id, value);
         if (ue.containsVar(*id)) ue = ue.substituted(*id, value);
-        if (de && de->containsVar(*id)) *de = de->substituted(*id, value);
+        if (de.containsVar(*id)) de = de.substituted(*id, value);
       }
       GarList uses;
       addUses(*s.rhs, sym, uses);  // RHS reads happen in the pre-assignment state
       ue = garUnion(ue, uses, ctx_, &sema_.arrays);
-      if (de) *de = garUnion(*de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
+      de = garUnion(de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
     }
   }
 }

@@ -132,7 +132,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   GarList modI;
   GarList ueI;
   GarList deI;
-  sumSegment(*n.body, sym, modI, ueI, &deI);
+  sumSegment(*n.body, sym, modI, ueI, deI);
 
   // Loop-variant scalars other than the index refer to previous-iteration
   // values at body entry. Basic induction variables (§5.2: "for induction
@@ -235,11 +235,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
         garUnion(modExpanded, variantExpanded.withGuard(Pred::makeUnknown()), ctx_,
                  &sema_.arrays);
   }
-  GarList deExpanded;
-  if (options_.computeDE) {
-    GarList deOutIter = garSubtract(deI, ls.modAfter, inLoop);
-    deExpanded = expandByIndex(deOutIter, ls.bounds, ctx_);
-  }
+  GarList deExpanded = expandByIndex(garSubtract(deI, ls.modAfter, inLoop), ls.bounds, ctx_);
   out.mod = garUnion(out.mod, modExpanded, ctx_, &sema_.arrays);
   out.ue = garUnion(out.ue, ueExpanded, ctx_, &sema_.arrays);
   out.de = garUnion(out.de, deExpanded, ctx_, &sema_.arrays);

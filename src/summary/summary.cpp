@@ -220,24 +220,16 @@ const std::vector<VarId>& SummaryAnalyzer::scalarsModifiedBy(const Procedure& pr
 // ---------------------------------------------------------------------------
 
 void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarList& mod,
-                                 GarList& ue, GarList* de) {
+                                 GarList& ue, GarList& de) {
   std::vector<int> topo = g.topoOrder();
   std::map<int, NodeSets> in;
 
   auto simplified = [&](GarList list) {
-    if (options_.garSimplifier) simplifyGarList(list, ctx_, &sema_.arrays);
+    simplifyGarList(list, ctx_, &sema_.arrays);
     note(list);
     return list;
   };
-  // The GAR-simplifier ablation: without it, unions are plain concatenation
-  // and lists grow with every propagation step (§5.2's motivation).
   auto unite = [&](const GarList& a, const GarList& b) {
-    if (!options_.garSimplifier) {
-      GarList out = a;
-      out.append(b);
-      note(out);
-      return out;
-    }
     return garUnion(a, b, ctx_, &sema_.arrays);
   };
 
@@ -274,8 +266,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         sets.mod = std::move(modOut);
         sets.ue = std::move(ueOut);
         sets.de = std::move(deOut);
-        foldBlockBackward(n, sym, sets.mod, sets.ue,
-                          options_.computeDE ? &sets.de : nullptr);
+        foldBlockBackward(n, sym, sets.mod, sets.ue, sets.de);
         break;
       }
       case HsgNode::Kind::Cond: {
@@ -286,8 +277,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
           GarList uses;
           addUses(*n.cond, sym, uses);  // the condition reads arrays
           sets.ue = unite(sets.ue, uses);
-          if (options_.computeDE)
-            sets.de = unite(sets.de, garSubtract(uses, sets.mod, ctx_));
+          sets.de = unite(sets.de, garSubtract(uses, sets.mod, ctx_));
         }
         break;
       }
@@ -326,7 +316,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         sets.ue = unite(own.ue, garSubtract(ueOut, own.mod, ctx_));
         // The node's own uses are downward exposed only past the writes
         // that follow the node.
-        if (options_.computeDE) sets.de = unite(garSubtract(own.de, modOut, ctx_), deOut);
+        sets.de = unite(garSubtract(own.de, modOut, ctx_), deOut);
         sets.mod = unite(own.mod, modOut);
         if (options_.quantified) {
           // Values of tested arrays are only stable up to the node that
@@ -347,7 +337,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
 
   mod = std::move(in[g.entry].mod);
   ue = std::move(in[g.entry].ue);
-  if (de) *de = std::move(in[g.entry].de);
+  de = std::move(in[g.entry].de);
 }
 
 const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
@@ -364,7 +354,7 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   GarList mod;
   GarList ue;
   GarList de;
-  sumSegment(hsg_.of(proc).graph, sym, mod, ue, &de);
+  sumSegment(hsg_.of(proc).graph, sym, mod, ue, de);
 
   ProcSummary summary;
   summary.modAll = mod;

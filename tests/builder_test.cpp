@@ -6,6 +6,9 @@
 //     an incremental session treats the two frontends as one cache: a
 //     builder-built fig1a warm-resubmitted (or resubmitted as parsed text)
 //     recomputes nothing;
+//   * replaying every parsed Perfect-corpus kernel through
+//     builder::rebuild() leaves its loop reports and provenance
+//     byte-identical, at 1 and 4 threads;
 //   * `>>` edge chains order blocks, overriding creation order;
 //   * every misuse — cyclic or malformed edge chains, duplicate block
 //     names, undeclared subscript symbols, unclosed regions, rank
@@ -214,6 +217,34 @@ TEST(BuilderFig1aTest, SessionTreatsBuilderAndParserAsOneFrontend) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.stats.dirty, 0u);
   EXPECT_EQ(renderSession(first), renderSession(parsed));
+}
+
+// ----------------------------------------------------------- corpus replay
+
+TEST(BuilderCorpusTest, RebuildRoundTripReportsByteIdentical) {
+  CacheGuard guard;
+  for (std::size_t threads : {1u, 4u}) {
+    AnalysisOptions options;
+    options.numThreads = threads;
+    ThreadPool pool(threads);
+    std::size_t loops = 0;
+    for (const CorpusLoop& cl : perfectCorpus()) {
+      DiagnosticEngine diags;
+      auto parsed = parseProgram(cl.source, diags);
+      ASSERT_TRUE(parsed.has_value()) << cl.id << "\n" << diags.str();
+      BuildResult rebuilt = builder::rebuild(*parsed);
+      ASSERT_TRUE(rebuilt.ok()) << cl.id << "\n" << rebuilt.error();
+
+      ProgramAnalysis direct = analyzeProgramUnit(std::move(*parsed), options, pool);
+      ASSERT_TRUE(direct.ok) << cl.id << ": " << direct.error;
+      ProgramAnalysis replayed = analyzeProgramUnit(std::move(*rebuilt.program), options, pool);
+      ASSERT_TRUE(replayed.ok) << cl.id << ": " << replayed.error;
+      EXPECT_EQ(render(direct), render(replayed)) << cl.id << ", " << threads << " threads";
+      loops += direct.loops.size();
+    }
+    // Every DO loop of the twelve Table 1/2 kernels took part.
+    EXPECT_EQ(loops, 47u) << threads << " threads";
+  }
 }
 
 // ---------------------------------------------------------- fluent basics

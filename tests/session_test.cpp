@@ -500,28 +500,6 @@ TEST(SessionTest, CalleeEditRecomputesOnlyLoopsThatReadItsSummary) {
   EXPECT_EQ(render(cold), render(warm));
 }
 
-TEST(SessionTest, LoopGranularReuseOffIsByteIdenticalWithZeroSkips) {
-  CacheGuard guard;
-  AnalysisOptions granular;
-  AnalysisOptions procedural;
-  procedural.loopGranularReuse = false;
-
-  AnalysisSession on(granular);
-  ASSERT_TRUE(on.submit(nestSource(0)).ok);
-  SessionResult warmOn = on.submit(nestSource(1));
-  ASSERT_TRUE(warmOn.ok);
-  EXPECT_GT(warmOn.stats.loopSkips, 0u);
-
-  AnalysisSession off(procedural);
-  ASSERT_TRUE(off.submit(nestSource(0)).ok);
-  SessionResult warmOff = off.submit(nestSource(1));
-  ASSERT_TRUE(warmOff.ok);
-  EXPECT_EQ(warmOff.stats.loopSkips, 0u);
-  EXPECT_EQ(warmOff.stats.partialUnits, 0u);
-
-  EXPECT_EQ(render(warmOn), render(warmOff));
-}
-
 TEST(SessionTest, StatsFormatCarriesLoopGranularCounters) {
   CacheGuard guard;
   AnalysisSession session;

@@ -3,8 +3,11 @@
 //     the in-process warm re-analysis byte-for-byte, at 1/4/8 threads;
 //   * a restored session serves a byte-identical resubmit through the
 //     whole-file fast path (the snapshot carries the source hash);
-//   * truncated / corrupted / version-mismatched snapshots are rejected
-//     with a structured diagnostic and leave the session untouched;
+//   * truncated / corrupted / version-mismatched snapshots, and snapshots
+//     saved with a retired analysis switch off, are rejected with a
+//     structured diagnostic and leave the session untouched;
+//   * restore adopts the snapshot's analysis switches and keeps the
+//     session's own execution options;
 //   * save() under concurrent submits always snapshots one consistent
 //     epoch — every file written while another thread edits restores.
 #include <gtest/gtest.h>
@@ -186,7 +189,7 @@ TEST(StoreTest, ReservedHeadByteIsIgnoredOnRestore) {
   ASSERT_TRUE(cold.ok);
   ASSERT_TRUE(saver.save(snap.path).ok);
 
-  // Bytes 6..39 of the head (after the six analysis switches) once held
+  // Bytes 6..39 of the head (after the six analysis-switch bytes) once held
   // the prefilter option and the simplifier budgets and are now reserved:
   // writers put those options' defaults there, readers skip them. Rewrite
   // every reserved byte to a non-default value under a valid integrity hash.
@@ -209,6 +212,85 @@ TEST(StoreTest, ReservedHeadByteIsIgnoredOnRestore) {
   EXPECT_EQ(again.stats.dirty, 0u);
   EXPECT_EQ(again.stats.fileSkips, 1u);
   EXPECT_EQ(render(cold), render(again));
+}
+
+TEST(StoreTest, RestoreKeepsTheSessionsExecutionOptions) {
+  CacheGuard guard;
+  FileGuard snap{tempPath("store_exec_options.pano")};
+  AnalysisOptions saved;
+  saved.numThreads = 1;
+  saved.quantified = true;
+
+  AnalysisSession saver(saved);
+  ASSERT_TRUE(saver.submit(kBase).ok);
+  ASSERT_TRUE(saver.save(snap.path).ok);
+  SessionResult inProcess = saver.submit(kLeafEdited);
+  ASSERT_TRUE(inProcess.ok);
+
+  AnalysisOptions own;
+  own.numThreads = 4;
+  own.cacheCapacity = 0;
+  AnalysisSession restored(own);
+  store::StoreResult r = restored.restore(snap.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  // The analysis switches come from the snapshot, the execution options
+  // stay the restoring session's own.
+  const AnalysisOptions& adopted = restored.options();
+  EXPECT_TRUE(adopted.symbolicAnalysis);
+  EXPECT_TRUE(adopted.ifConditions);
+  EXPECT_TRUE(adopted.interprocedural);
+  EXPECT_TRUE(adopted.quantified);
+  EXPECT_EQ(adopted.numThreads, 4u);
+  EXPECT_EQ(adopted.cacheCapacity, 0u);
+
+  SessionResult warm = restored.submit(kLeafEdited);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(render(inProcess), render(warm));
+  EXPECT_EQ(inProcess.stats.dirty, warm.stats.dirty);
+  EXPECT_EQ(inProcess.stats.summariesReused, warm.stats.summariesReused);
+}
+
+TEST(StoreTest, RestoreRejectsSnapshotSavedWithRetiredSwitchOff) {
+  CacheGuard guard;
+  FileGuard snap{tempPath("store_retired.pano")};
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession saver(options);
+  ASSERT_TRUE(saver.submit(kBase).ok);
+  ASSERT_TRUE(saver.save(snap.path).ok);
+  std::string saved;
+  ASSERT_TRUE(store::readSnapshotFile(snap.path, saved).ok);
+
+  // The target holds different state (quantified, edited source), so a
+  // restore that slipped through would show.
+  AnalysisOptions targetOptions = options;
+  targetOptions.quantified = true;
+  AnalysisSession target(targetOptions);
+  SessionResult before = target.submit(kLeafEdited);
+  ASSERT_TRUE(before.ok);
+
+  // Head bytes 4 and 5 once held the DE-set and GAR-simplifier switches;
+  // writers store 1 there. Either one at 0, under a valid integrity hash,
+  // marks a snapshot whose verdicts a cold run could contradict.
+  for (std::size_t byte : {4u, 5u}) {
+    std::string payload = saved;
+    ASSERT_GT(payload.size(), byte);
+    EXPECT_EQ(payload[byte], 1) << "head byte " << byte;
+    payload[byte] = 0;
+    ASSERT_TRUE(store::writeSnapshotFile(snap.path, payload).ok);
+
+    store::StoreResult r = target.restore(snap.path);
+    EXPECT_FALSE(r.ok) << "head byte " << byte;
+    EXPECT_NE(r.error.find("retired"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find(snap.path), std::string::npos) << r.error;
+  }
+
+  EXPECT_TRUE(target.options().quantified);
+  EXPECT_EQ(target.epoch(), 1u);
+  SessionResult again = target.submit(kLeafEdited);
+  ASSERT_TRUE(again.ok);
+  EXPECT_EQ(again.stats.fileSkips, 1u);
+  EXPECT_EQ(render(before), render(again));
 }
 
 TEST(StoreTest, SaveRequiresALiveSession) {
