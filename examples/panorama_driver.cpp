@@ -570,7 +570,6 @@ int main(int argc, char** argv) {
         const ArrayTable& arrays = pa.sema.arrays;
         std::printf("      MOD_i  = %s\n", ls->modIter.str(tab, arrays).c_str());
         std::printf("      UE_i   = %s\n", ls->ueIter.str(tab, arrays).c_str());
-        std::printf("      DE_i   = %s\n", ls->deIter.str(tab, arrays).c_str());
         std::printf("      MOD_<i = %s\n", ls->modBefore.str(tab, arrays).c_str());
         std::printf("      MOD(L) = %s\n", ls->mod.str(tab, arrays).c_str());
         std::printf("      UE(L)  = %s\n", ls->ue.str(tab, arrays).c_str());

@@ -55,8 +55,6 @@ struct LoopTrace {
   std::vector<Binding> iterEntry;
   std::vector<std::map<ArrayId, ElementSet>> modPerIter;
   std::vector<std::map<ArrayId, ElementSet>> uePerIter;
-  /// Downward-exposed uses: reads not followed by a same-iteration write.
-  std::vector<std::map<ArrayId, ElementSet>> dePerIter;
   std::map<ArrayId, ElementSet> modWhole;
   std::map<ArrayId, ElementSet> ueWhole;
   std::vector<std::uint64_t> iterOps;  ///< expression-node evaluations per iteration

@@ -197,11 +197,10 @@ class AnalysisSession {
   /// Replaces this session's state with a snapshot previously produced by
   /// save(). The next submit behaves exactly like a warm submit against the
   /// saved in-process session: byte-identical reports at any thread count.
-  /// A truncated, corrupted, or version-mismatched snapshot, or one saved
-  /// with a retired analysis switch off, fails with a structured diagnostic
-  /// and leaves the session untouched (the same atomicity contract as a
-  /// failed submit). The session keeps its execution options; the
-  /// snapshot's ablation switches are adopted.
+  /// A truncated, corrupted, or version-mismatched snapshot fails with a
+  /// structured diagnostic and leaves the session untouched (the same
+  /// atomicity contract as a failed submit). The session keeps its
+  /// execution options; the snapshot's ablation switches are adopted.
   store::StoreResult restore(const std::string& path);
 
  private:

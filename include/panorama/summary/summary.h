@@ -49,12 +49,9 @@ struct LoopSummary {
   GarList ueIter;                 ///< UE_i
   GarList modBefore;              ///< MOD_{<i}
   GarList modAfter;               ///< MOD_{>i}
-  GarList deIter;                 ///< DE_i: uses not followed by an in-iteration write
   GarList mod;                    ///< expanded whole-loop MOD
   GarList ue;                     ///< expanded whole-loop UE
-  GarList de;                     ///< expanded whole-loop DE (uses exposed at loop exit)
   GarList ueAfter;                ///< UE at the loop's exit edge (live-out probe)
-  std::vector<VarId> bodyAssignedScalars;  ///< loop-variant scalars (incl. index)
 };
 
 /// Whole-procedure side effect. `mod`/`ue` cover formal and COMMON arrays
@@ -63,7 +60,6 @@ struct LoopSummary {
 struct ProcSummary {
   GarList mod;
   GarList ue;
-  GarList de;  ///< downward-exposed uses (formal/COMMON arrays)
   GarList modAll;
   GarList ueAll;
   std::vector<VarId> modifiedScalars;  ///< globals + formals the proc may write
@@ -146,10 +142,10 @@ class SummaryAnalyzer {
 
   // ----- internal building blocks, exposed for white-box tests -----
 
-  /// Folds one basic block backward through (mod, ue, de) — §4.1's SUM_bb
+  /// Folds one basic block backward through (mod, ue) — §4.1's SUM_bb
   /// plus the on-the-fly substitution of the step-2 note.
   void foldBlockBackward(const HsgNode& block, const ProcSymbols& sym, GarList& mod,
-                         GarList& ue, GarList& de);
+                         GarList& ue);
 
   /// Lowers an array reference to a (point-per-dimension) region.
   Region lowerRef(const Expr& ref, const ProcSymbols& sym);
@@ -158,11 +154,9 @@ class SummaryAnalyzer {
   struct NodeSets {
     GarList mod;
     GarList ue;
-    GarList de;  ///< §3.2.2: downward-exposed uses
   };
 
-  void sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarList& mod, GarList& ue,
-                  GarList& de);
+  void sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarList& mod, GarList& ue);
   NodeSets sumLoop(const HsgNode& loop, const ProcSymbols& sym);
   NodeSets sumCall(const HsgNode& call, const ProcSymbols& sym);
   NodeSets sumCondensed(const HsgNode& node, const ProcSymbols& sym);

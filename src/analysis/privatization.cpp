@@ -190,7 +190,6 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
     return out;
   };
   GarList ueRem = remainder(ls.ueIter);
-  GarList deRem = remainder(ls.deIter);
   GarList modRem = remainder(ls.modIter);
   GarList beforeRem = remainder(ls.modBefore);
   GarList afterRem = remainder(ls.modAfter);
@@ -222,7 +221,6 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
   {
     obs::ProvenanceScope scope(la.provenance, "carried-anti");
     la.noCarriedAnti = intersectionEmpty(ueRem, afterRem, ctx);
-    la.noCarriedAntiDE = intersectionEmpty(deRem, afterRem, ctx);
   }
   la.provenance.add(EvidenceKind::DependenceTest, "anti", la.noCarriedAnti,
                     la.noCarriedAnti == Truth::True

@@ -555,18 +555,11 @@ class InterpImpl {
     t.iterEntry.push_back(snapshotScalars());
     t.modPerIter.emplace_back();
     t.uePerIter.emplace_back();
-    deFlags_.clear();
     iterActive_ = true;
   }
 
   void endTracedIteration(std::uint64_t ops) {
-    LoopTrace& t = host_.trace_;
-    t.iterOps.push_back(ops);
-    // DE_i: elements whose last access was a read.
-    std::map<ArrayId, ElementSet> de;
-    for (const auto& [key, exposed] : deFlags_)
-      if (exposed) de[key.first].insert(key.second);
-    t.dePerIter.push_back(std::move(de));
+    host_.trace_.iterOps.push_back(ops);
     iterActive_ = false;
   }
 
@@ -576,7 +569,6 @@ class InterpImpl {
     auto& mod = t.modPerIter.back()[array];
     if (!mod.count(idx)) t.uePerIter.back()[array].insert(idx);
     if (!t.modWhole[array].count(idx)) t.ueWhole[array].insert(idx);
-    deFlags_[{array, idx}] = true;
   }
 
   void onWrite(ArrayId array, const std::vector<std::int64_t>& idx) {
@@ -584,7 +576,6 @@ class InterpImpl {
     LoopTrace& t = host_.trace_;
     t.modPerIter.back()[array].insert(idx);
     t.modWhole[array].insert(idx);
-    deFlags_[{array, idx}] = false;
   }
 
   Interpreter& host_;
@@ -597,7 +588,6 @@ class InterpImpl {
   int traceNesting_ = 0;
   int privatizeNesting_ = 0;
   bool iterActive_ = false;
-  std::map<std::pair<ArrayId, std::vector<std::int64_t>>, bool> deFlags_;
 };
 
 Interpreter::Interpreter(const Program& program, const SemaResult& sema)

@@ -216,18 +216,14 @@ void writeLoopSummary(Writer& w, PoolWriter& pools, const LoopSummary& ls) {
   pools.garList(w, ls.ueIter);
   pools.garList(w, ls.modBefore);
   pools.garList(w, ls.modAfter);
-  pools.garList(w, ls.deIter);
   pools.garList(w, ls.mod);
   pools.garList(w, ls.ue);
-  pools.garList(w, ls.de);
   pools.garList(w, ls.ueAfter);
-  pools.vars(w, ls.bodyAssignedScalars);
 }
 
 void writeProcSummary(Writer& w, PoolWriter& pools, const ProcSummary& s) {
   pools.garList(w, s.mod);
   pools.garList(w, s.ue);
-  pools.garList(w, s.de);
   pools.garList(w, s.modAll);
   pools.garList(w, s.ueAll);
   pools.vars(w, s.modifiedScalars);
@@ -590,12 +586,9 @@ LoopSummary readLoopSummary(PoolReader& pools) {
   ls.ueIter = pools.garList();
   ls.modBefore = pools.garList();
   ls.modAfter = pools.garList();
-  ls.deIter = pools.garList();
   ls.mod = pools.garList();
   ls.ue = pools.garList();
-  ls.de = pools.garList();
   ls.ueAfter = pools.garList();
-  ls.bodyAssignedScalars = pools.vars(/*allowInvalid=*/false);
   return ls;
 }
 
@@ -603,7 +596,6 @@ ProcSummary readProcSummary(PoolReader& pools) {
   ProcSummary s;
   s.mod = pools.garList();
   s.ue = pools.garList();
-  s.de = pools.garList();
   s.modAll = pools.garList();
   s.ueAll = pools.garList();
   s.modifiedScalars = pools.vars(/*allowInvalid=*/false);
@@ -633,21 +625,6 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
   head.u8(options_.ifConditions ? 1 : 0);
   head.u8(options_.interprocedural ? 1 : 0);
   head.u8(options_.quantified ? 1 : 0);
-  // Two retired switches (DE sets, GAR simplifier), always on now; kept at
-  // 1 so the v2 head keeps its layout.
-  head.u8(1);
-  head.u8(1);
-  // 34 reserved bytes, once the prefilter option and the simplifier
-  // budgets (options no analysis step read). Written as those options'
-  // defaults, so the head keeps its layout; readers skip them.
-  const SimplifyOptions reserved;
-  head.u8(1);
-  head.u64(reserved.maxClauses);
-  head.u64(reserved.maxAtomsPerClause);
-  head.u8(reserved.useFourierMotzkin ? 1 : 0);
-  head.u64(reserved.fmBudget.maxConstraints);
-  head.u64(reserved.fmBudget.maxVariables);
-
   head.u64(epoch_);
   head.u64(lastSourceHash_);
   head.u8(hasSourceHash_ ? 1 : 0);
@@ -807,22 +784,6 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   opts.ifConditions = r.u8() != 0;
   opts.interprocedural = r.u8() != 0;
   opts.quantified = r.u8() != 0;
-  // The retired switches (see save): a snapshot taken with either one off
-  // holds verdicts a cold run of the current analysis could contradict.
-  const std::uint8_t deSets = r.u8();
-  const std::uint8_t simplifier = r.u8();
-  if (r.ok() && (deSets != 1 || simplifier != 1))
-    return failed("snapshot was saved with the retired DE-set or GAR-simplifier switch "
-                  "off; its cached verdicts may differ from a cold run, re-analyze the "
-                  "source instead");
-  // The reserved head bytes (see save): skipped.
-  r.u8();
-  r.u64();
-  r.u64();
-  r.u8();
-  r.u64();
-  r.u64();
-
   const std::uint64_t epoch = r.u64();
   const std::uint64_t lastSourceHash = r.u64();
   const bool hasSourceHash = r.u8() != 0;

@@ -6,7 +6,7 @@
 namespace panorama {
 
 void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols& sym,
-                                        GarList& mod, GarList& ue, GarList& de) {
+                                        GarList& mod, GarList& ue) {
   ++stats_.blockSteps;
   for (auto it = block.stmts.rbegin(); it != block.stmts.rend(); ++it) {
     const Stmt& s = **it;
@@ -20,16 +20,11 @@ void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols&
       addUses(*s.rhs, sym, uses);
       for (const ExprPtr& sub : s.lhs->args) addUses(*sub, sym, uses);  // subscripts read
       ue = garUnion(ue, uses, ctx_, &sema_.arrays);
-      // DE (§3.2.2): a use survives only past the writes that follow it —
-      // which is exactly `mod` at this point (own write included, so the
-      // read of A(i) = A(i)+1 is not downward exposed).
-      de = garUnion(de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
       if (options_.quantified) {
         if (auto id = sym.arrayId(s.lhs->name)) {
           std::vector<ArrayId> written{*id};
           taintQuantified(ue, written);
           taintQuantified(mod, written);
-          taintQuantified(de, written);
         }
       }
       note(mod);
@@ -46,12 +41,10 @@ void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols&
         SymExpr value = lowerValue(*s.rhs, sym);
         if (mod.containsVar(*id)) mod = mod.substituted(*id, value);
         if (ue.containsVar(*id)) ue = ue.substituted(*id, value);
-        if (de.containsVar(*id)) de = de.substituted(*id, value);
       }
       GarList uses;
       addUses(*s.rhs, sym, uses);  // RHS reads happen in the pre-assignment state
       ue = garUnion(ue, uses, ctx_, &sema_.arrays);
-      de = garUnion(de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
     }
   }
 }

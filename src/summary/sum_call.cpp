@@ -58,7 +58,6 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
 
   if (!callee || !options_.interprocedural) {
     degradeAll();
-    out.de = out.ue;
     return out;
   }
 
@@ -157,20 +156,16 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
   };
   GarList calleeMod;
   GarList calleeUe;
-  GarList calleeDe;
   mapList(cs.mod, calleeMod);
   mapList(cs.ue, calleeUe);
-  mapList(cs.de, calleeDe);
   if (options_.quantified) {
     // Quantified atoms name callee-frame arrays; remapping them is future
     // work — degrade to Δ at the boundary.
     taintAllQuantified(calleeMod);
     taintAllQuantified(calleeUe);
-    taintAllQuantified(calleeDe);
   }
   out.mod = garUnion(out.mod, calleeMod, ctx_, &sema_.arrays);
   out.ue = garUnion(out.ue, calleeUe, ctx_, &sema_.arrays);
-  out.de = garUnion(out.de, calleeDe, ctx_, &sema_.arrays);
   note(out.mod);
   note(out.ue);
   return out;

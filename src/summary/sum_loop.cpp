@@ -98,18 +98,13 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   // Seeded fast path (seedLoopSummaries): a previous epoch already expanded
   // this statement and the session proved the expansion still valid, so the
   // stored whole-loop sets *are* this call's result. The invariant making
-  // this exact: every path below stores ls.mod/ue/de equal to the NodeSets
+  // this exact: every path below stores ls.mod/ue equal to the NodeSets
   // it returns. ueAfter is downstream context, not subtree content — the
   // enclosing sumSegment overwrites it after this returns either way.
   {
     std::shared_lock<std::shared_mutex> lock(loopMutex_);
-    if (auto it = loopSummaries_.find(&s); it != loopSummaries_.end()) {
-      NodeSets out;
-      out.mod = it->second.mod;
-      out.ue = it->second.ue;
-      out.de = it->second.de;
-      return out;
-    }
+    if (auto it = loopSummaries_.find(&s); it != loopSummaries_.end())
+      return {it->second.mod, it->second.ue};
   }
 
   ++stats_.loopExpansions;
@@ -131,8 +126,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
 
   GarList modI;
   GarList ueI;
-  GarList deI;
-  sumSegment(*n.body, sym, modI, ueI, deI);
+  sumSegment(*n.body, sym, modI, ueI);
 
   // Loop-variant scalars other than the index refer to previous-iteration
   // values at body entry. Basic induction variables (§5.2: "for induction
@@ -140,8 +134,8 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   // rewrite exactly — a scalar v incremented once, unconditionally, by a
   // loop-invariant amount c has body-entry value v + c*(i - lo) at iteration
   // i of a unit-step loop. Everything else loop-variant poisons.
-  std::vector<const Stmt*> roots{&s};
-  collectAssignedScalars(roots, sym, ls.bodyAssignedScalars, /*throughCalls=*/true);
+  std::vector<VarId> bodyAssigned;
+  collectAssignedScalars({&s}, sym, bodyAssigned, /*throughCalls=*/true);
   std::map<VarId, SymExpr> induction =
       ls.boundsKnown && st == SymExpr::constant(1) && options_.symbolicAnalysis
           ? recognizeInductionVars(s, sym, *idxId, lo)
@@ -149,25 +143,21 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   if (!induction.empty()) {
     modI = modI.substituted(induction);
     ueI = ueI.substituted(induction);
-    deI = deI.substituted(induction);
   }
   std::vector<VarId> variant;
-  for (VarId v : ls.bodyAssignedScalars)
+  for (VarId v : bodyAssigned)
     if ((!idxId || v != *idxId) && !induction.contains(v)) variant.push_back(v);
   poisonScalars(modI, variant);
   poisonScalars(ueI, variant);
-  poisonScalars(deI, variant);
   if (options_.quantified && idxId) {
     // §5.3: per-iteration element conditions on the moving point become ψ1
     // dimension predicates, which expand exactly.
     psiRewrite(modI, *idxId);
     psiRewrite(ueI, *idxId);
-    psiRewrite(deI, *idxId);
   }
 
   ls.modIter = modI;
   ls.ueIter = ueI;
-  ls.deIter = deI;
 
   NodeSets out;
   // The loop-header expressions are evaluated (bounds may read arrays).
@@ -181,13 +171,11 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
       out.mod.add(Gar::omega(g.array(), g.region().rank()));
     for (const Gar& g : ueI.gars())
       out.ue.add(Gar::omega(g.array(), g.region().rank()));
-    out.de = out.ue;
     // Keep the stored sets equal to the returned ones so the seeded fast
     // path above reproduces this result exactly. (analyzeLoop never reads
-    // mod/ue/de of an unanalyzable-header loop — it bails on boundsKnown.)
+    // mod/ue of an unanalyzable-header loop — it bails on boundsKnown.)
     ls.mod = out.mod;
     ls.ue = out.ue;
-    ls.de = out.de;
     {
       std::unique_lock<std::shared_mutex> lock(loopMutex_);
       loopSummaries_[&s] = std::move(ls);
@@ -206,8 +194,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   ls.modBefore = expandByIndex(renamed, LoopBounds{ii, lo, I - st, st}, inLoop);
   ls.modAfter = expandByIndex(renamed, LoopBounds{ii, I + st, up, st}, inLoop);
 
-  // ue_i_out = UE_i − MOD_{<i}; whole-loop sets by expansion. DE mirrors it
-  // downward: DE(loop) = expand(DE_i − MOD_{>i}).
+  // ue_i_out = UE_i − MOD_{<i}; whole-loop sets by expansion.
   GarList ueOut = garSubtract(ueI, ls.modBefore, inLoop);
   GarList ueExpanded = expandByIndex(ueOut, ls.bounds, ctx_);
   GarList modExpanded;
@@ -235,13 +222,10 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
         garUnion(modExpanded, variantExpanded.withGuard(Pred::makeUnknown()), ctx_,
                  &sema_.arrays);
   }
-  GarList deExpanded = expandByIndex(garSubtract(deI, ls.modAfter, inLoop), ls.bounds, ctx_);
   out.mod = garUnion(out.mod, modExpanded, ctx_, &sema_.arrays);
   out.ue = garUnion(out.ue, ueExpanded, ctx_, &sema_.arrays);
-  out.de = garUnion(out.de, deExpanded, ctx_, &sema_.arrays);
   ls.mod = out.mod;
   ls.ue = out.ue;
-  ls.de = out.de;
   note(out.mod);
   note(out.ue);
   {

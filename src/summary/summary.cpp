@@ -220,7 +220,7 @@ const std::vector<VarId>& SummaryAnalyzer::scalarsModifiedBy(const Procedure& pr
 // ---------------------------------------------------------------------------
 
 void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarList& mod,
-                                 GarList& ue, GarList& de) {
+                                 GarList& ue) {
   std::vector<int> topo = g.topoOrder();
   std::map<int, NodeSets> in;
 
@@ -239,18 +239,15 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
     // Merge successor in-sets (guarded per-branch at condition nodes).
     GarList modOut;
     GarList ueOut;
-    GarList deOut;
     if (n.kind == HsgNode::Kind::Cond && n.succs.size() == 2 && n.succs[0] != n.succs[1]) {
       Pred c = n.cond ? lowerGuard(*n.cond, sym) : Pred::makeUnknown();
       Pred notC = !c;
       modOut = unite(in[n.succs[0]].mod.withGuard(c), in[n.succs[1]].mod.withGuard(notC));
       ueOut = unite(in[n.succs[0]].ue.withGuard(c), in[n.succs[1]].ue.withGuard(notC));
-      deOut = unite(in[n.succs[0]].de.withGuard(c), in[n.succs[1]].de.withGuard(notC));
     } else {
       for (int s : n.succs) {
         modOut = unite(modOut, in[s].mod);
         ueOut = unite(ueOut, in[s].ue);
-        deOut = unite(deOut, in[s].de);
       }
     }
 
@@ -260,24 +257,20 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
       case HsgNode::Kind::Exit:
         sets.mod = std::move(modOut);
         sets.ue = std::move(ueOut);
-        sets.de = std::move(deOut);
         break;
       case HsgNode::Kind::Block: {
         sets.mod = std::move(modOut);
         sets.ue = std::move(ueOut);
-        sets.de = std::move(deOut);
-        foldBlockBackward(n, sym, sets.mod, sets.ue, sets.de);
+        foldBlockBackward(n, sym, sets.mod, sets.ue);
         break;
       }
       case HsgNode::Kind::Cond: {
         sets.mod = std::move(modOut);
         sets.ue = std::move(ueOut);
-        sets.de = std::move(deOut);
         if (n.cond) {
           GarList uses;
           addUses(*n.cond, sym, uses);  // the condition reads arrays
           sets.ue = unite(sets.ue, uses);
-          sets.de = unite(sets.de, garSubtract(uses, sets.mod, ctx_));
         }
         break;
       }
@@ -304,7 +297,6 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         collectAssignedScalars(roots, sym, killed, /*throughCalls=*/true);
         poisonScalars(modOut, killed);
         poisonScalars(ueOut, killed);
-        poisonScalars(deOut, killed);
         if (n.kind == HsgNode::Kind::Loop) {
           // Record the downstream exposure for the live-out (copy-out) test.
           // Shared lock suffices: only this thread summarizes this
@@ -314,9 +306,6 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
           if (ls != loopSummaries_.end()) ls->second.ueAfter = ueOut;
         }
         sets.ue = unite(own.ue, garSubtract(ueOut, own.mod, ctx_));
-        // The node's own uses are downward exposed only past the writes
-        // that follow the node.
-        sets.de = unite(garSubtract(own.de, modOut, ctx_), deOut);
         sets.mod = unite(own.mod, modOut);
         if (options_.quantified) {
           // Values of tested arrays are only stable up to the node that
@@ -324,20 +313,17 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
           std::vector<ArrayId> written = own.mod.arrays();
           taintQuantified(sets.ue, written);
           taintQuantified(sets.mod, written);
-          taintQuantified(sets.de, written);
         }
         break;
       }
     }
     sets.mod = simplified(std::move(sets.mod));
     sets.ue = simplified(std::move(sets.ue));
-    sets.de = simplified(std::move(sets.de));
     in[*it] = std::move(sets);
   }
 
   mod = std::move(in[g.entry].mod);
   ue = std::move(in[g.entry].ue);
-  de = std::move(in[g.entry].de);
 }
 
 const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
@@ -353,8 +339,7 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   const ProcSymbols& sym = sema_.of(proc);
   GarList mod;
   GarList ue;
-  GarList de;
-  sumSegment(hsg_.of(proc).graph, sym, mod, ue, de);
+  sumSegment(hsg_.of(proc).graph, sym, mod, ue);
 
   ProcSummary summary;
   summary.modAll = mod;
@@ -374,8 +359,6 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
     if (escapes(g.array())) summary.mod.add(g);
   for (const Gar& g : ue.gars())
     if (escapes(g.array())) summary.ue.add(g);
-  for (const Gar& g : de.gars())
-    if (escapes(g.array())) summary.de.add(g);
 
   // Local scalars remaining in the summaries denote uninitialized entry
   // values: poison them.
@@ -387,7 +370,6 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   }
   poisonScalars(summary.mod, locals);
   poisonScalars(summary.ue, locals);
-  poisonScalars(summary.de, locals);
   summary.modifiedScalars = scalarsModifiedBy(proc);
 
   std::unique_lock<std::shared_mutex> lock(procMutex_);

@@ -1,7 +1,7 @@
 // End-to-end soundness fuzzing: generate random (but well-formed) Fortran
 // kernels, then require
 //
-//   1. the analyzer's per-iteration summaries (MOD_i, UE_i, DE_i, MOD_{<i})
+//   1. the analyzer's per-iteration summaries (MOD_i, UE_i, MOD_{<i})
 //      and whole-loop sets to match interpreter ground truth exactly when
 //      decidable and to over-approximate otherwise, and
 //   2. every privatization the analyzer licenses to survive the scrambled
@@ -234,7 +234,6 @@ TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
       for (ArrayId a : arrays) {
         checkAgainst(ls->modIter, a, bnd, truthOf(t.modPerIter, a), "MOD_i", src);
         checkAgainst(ls->ueIter, a, bnd, truthOf(t.uePerIter, a), "UE_i", src);
-        checkAgainst(ls->deIter, a, bnd, truthOf(t.dePerIter, a), "DE_i", src);
         auto before = modSoFar.find(a);
         checkAgainst(ls->modBefore, a, bnd,
                      before == modSoFar.end() ? ElementSet{} : before->second, "MOD_<i", src);

@@ -296,7 +296,6 @@ void validateLoopAgainstTrace(std::string_view src, const char* mainName,
       };
       checkSet(ls->modIter, truthOf(t.modPerIter), "MOD_i");
       checkSet(ls->ueIter, truthOf(t.uePerIter), "UE_i");
-      checkSet(ls->deIter, truthOf(t.dePerIter), "DE_i");
       auto before = modSoFar.find(array);
       checkSet(ls->modBefore, before == modSoFar.end() ? ElementSet{} : before->second,
                "MOD_<i");

@@ -174,23 +174,5 @@ TEST(MiniPerfectTest, ExecutesAndWitnesses) {
   }
 }
 
-TEST(MiniPerfectTest, ProcSummaryDeThroughCalls) {
-  // DE composes across the call: `b` is read by `fread` and never written
-  // there — downward exposed at the callee's exit (grid, by contrast, is
-  // read-then-rewritten per element, so it is NOT downward exposed).
-  DiagnosticEngine diags;
-  auto p = parseProgram(kMiniPerfect, diags);
-  ASSERT_TRUE(p.has_value());
-  auto sr = analyze(*p, diags);
-  ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
-  SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-  const ProcSummary& ps = analyzer.procSummary(*p->findProcedure("fread"));
-  ArrayId b = *sr->procs.at("fread").arrayId("b");
-  ArrayId grid = *sr->procs.at("fread").arrayId("grid");
-  EXPECT_FALSE(ps.de.forArray(b).empty());
-  EXPECT_TRUE(ps.de.forArray(grid).empty());
-}
-
 }  // namespace
 }  // namespace panorama

@@ -3,9 +3,8 @@
 //     the in-process warm re-analysis byte-for-byte, at 1/4/8 threads;
 //   * a restored session serves a byte-identical resubmit through the
 //     whole-file fast path (the snapshot carries the source hash);
-//   * truncated / corrupted / version-mismatched snapshots, and snapshots
-//     saved with a retired analysis switch off, are rejected with a
-//     structured diagnostic and leave the session untouched;
+//   * truncated / corrupted / version-mismatched snapshots are rejected
+//     with a structured diagnostic and leave the session untouched;
 //   * restore adopts the snapshot's analysis switches and keeps the
 //     session's own execution options;
 //   * save() under concurrent submits always snapshots one consistent
@@ -178,42 +177,6 @@ TEST(StoreTest, RestoredSessionServesByteIdenticalResubmitViaFastPath) {
   EXPECT_EQ(render(cold), render(skip));
 }
 
-TEST(StoreTest, ReservedHeadByteIsIgnoredOnRestore) {
-  CacheGuard guard;
-  FileGuard snap{tempPath("store_reserved.pano")};
-  AnalysisOptions options;
-  options.numThreads = 1;
-
-  AnalysisSession saver(options);
-  SessionResult cold = saver.submit(kBase);
-  ASSERT_TRUE(cold.ok);
-  ASSERT_TRUE(saver.save(snap.path).ok);
-
-  // Bytes 6..39 of the head (after the six analysis-switch bytes) once held
-  // the prefilter option and the simplifier budgets and are now reserved:
-  // writers put those options' defaults there, readers skip them. Rewrite
-  // every reserved byte to a non-default value under a valid integrity hash.
-  constexpr std::size_t kReservedBegin = 6;
-  constexpr std::size_t kReservedEnd = 40;
-  std::string payload;
-  ASSERT_TRUE(store::readSnapshotFile(snap.path, payload).ok);
-  ASSERT_GT(payload.size(), kReservedEnd);
-  EXPECT_EQ(payload[kReservedBegin], 1);
-  EXPECT_EQ(payload[kReservedBegin + 1], 48);  // the old default clause budget
-  for (std::size_t k = kReservedBegin; k < kReservedEnd; ++k)
-    payload[k] = static_cast<char>(payload[k] ^ 0x5a);
-  ASSERT_TRUE(store::writeSnapshotFile(snap.path, payload).ok);
-
-  AnalysisSession restored(options);
-  store::StoreResult r = restored.restore(snap.path);
-  ASSERT_TRUE(r.ok) << r.error;
-  SessionResult again = restored.submit(kBase);
-  ASSERT_TRUE(again.ok);
-  EXPECT_EQ(again.stats.dirty, 0u);
-  EXPECT_EQ(again.stats.fileSkips, 1u);
-  EXPECT_EQ(render(cold), render(again));
-}
-
 TEST(StoreTest, RestoreKeepsTheSessionsExecutionOptions) {
   CacheGuard guard;
   FileGuard snap{tempPath("store_exec_options.pano")};
@@ -248,49 +211,6 @@ TEST(StoreTest, RestoreKeepsTheSessionsExecutionOptions) {
   EXPECT_EQ(render(inProcess), render(warm));
   EXPECT_EQ(inProcess.stats.dirty, warm.stats.dirty);
   EXPECT_EQ(inProcess.stats.summariesReused, warm.stats.summariesReused);
-}
-
-TEST(StoreTest, RestoreRejectsSnapshotSavedWithRetiredSwitchOff) {
-  CacheGuard guard;
-  FileGuard snap{tempPath("store_retired.pano")};
-  AnalysisOptions options;
-  options.numThreads = 1;
-  AnalysisSession saver(options);
-  ASSERT_TRUE(saver.submit(kBase).ok);
-  ASSERT_TRUE(saver.save(snap.path).ok);
-  std::string saved;
-  ASSERT_TRUE(store::readSnapshotFile(snap.path, saved).ok);
-
-  // The target holds different state (quantified, edited source), so a
-  // restore that slipped through would show.
-  AnalysisOptions targetOptions = options;
-  targetOptions.quantified = true;
-  AnalysisSession target(targetOptions);
-  SessionResult before = target.submit(kLeafEdited);
-  ASSERT_TRUE(before.ok);
-
-  // Head bytes 4 and 5 once held the DE-set and GAR-simplifier switches;
-  // writers store 1 there. Either one at 0, under a valid integrity hash,
-  // marks a snapshot whose verdicts a cold run could contradict.
-  for (std::size_t byte : {4u, 5u}) {
-    std::string payload = saved;
-    ASSERT_GT(payload.size(), byte);
-    EXPECT_EQ(payload[byte], 1) << "head byte " << byte;
-    payload[byte] = 0;
-    ASSERT_TRUE(store::writeSnapshotFile(snap.path, payload).ok);
-
-    store::StoreResult r = target.restore(snap.path);
-    EXPECT_FALSE(r.ok) << "head byte " << byte;
-    EXPECT_NE(r.error.find("retired"), std::string::npos) << r.error;
-    EXPECT_NE(r.error.find(snap.path), std::string::npos) << r.error;
-  }
-
-  EXPECT_TRUE(target.options().quantified);
-  EXPECT_EQ(target.epoch(), 1u);
-  SessionResult again = target.submit(kLeafEdited);
-  ASSERT_TRUE(again.ok);
-  EXPECT_EQ(again.stats.fileSkips, 1u);
-  EXPECT_EQ(render(before), render(again));
 }
 
 TEST(StoreTest, SaveRequiresALiveSession) {
@@ -375,9 +295,9 @@ TEST(StoreTest, RestoreRejectsVersionMismatchAndBadMagic) {
   const std::string bytes = slurp(snap.path);
 
   // Rewrite the schema version field (offset 4, little-endian u32): a
-  // future version and the retired v1 are both rejected.
+  // future version and the retired v1 and v2 are all rejected.
   store::StoreResult r;
-  for (int version : {99, 1}) {
+  for (int version : {99, 1, 2}) {
     std::string versioned = bytes;
     versioned[4] = static_cast<char>(version);
     spit(snap.path, versioned);
@@ -408,7 +328,7 @@ TEST(StoreTest, RestoreRejectsMissingFile) {
   EXPECT_TRUE(session.submit(kBase).ok);
 }
 
-// ----- schema v2: loop-granular reuse across save/restore (§4.9) -----------
+// ----- loop-granular reuse across save/restore (§4.9) ----------------------
 
 /// Four independent doubly-nested loop nests; `editedNest` (1-based, 0 =
 /// none) changes a constant inside that nest, `comment` shifts every
@@ -436,9 +356,9 @@ std::string nestSource(int editedNest, bool comment = false) {
   return src;
 }
 
-TEST(StoreTest, V2RoundTripFastPathsLoopGranularReuse) {
+TEST(StoreTest, RoundTripFastPathsLoopGranularReuse) {
   CacheGuard guard;
-  FileGuard snap{tempPath("store_v2_loops.pano")};
+  FileGuard snap{tempPath("store_loops.pano")};
 
   // In-process reference: cold, save, single-loop edit.
   AnalysisSession reference;
@@ -448,7 +368,7 @@ TEST(StoreTest, V2RoundTripFastPathsLoopGranularReuse) {
   ASSERT_TRUE(inProcess.ok);
   ASSERT_EQ(inProcess.stats.loopSkips, 6u);
 
-  // The v2 snapshot carries the per-item fingerprints and reuse edges, so
+  // The snapshot carries the per-item fingerprints and reuse edges, so
   // the restored session reuses exactly the same loops.
   AnalysisSession restored;
   ASSERT_TRUE(restored.restore(snap.path).ok);
@@ -459,9 +379,9 @@ TEST(StoreTest, V2RoundTripFastPathsLoopGranularReuse) {
   EXPECT_EQ(render(inProcess), render(warm));
 }
 
-TEST(StoreTest, V2RoundTripRemapsLinesAfterCommentOnlyEdit) {
+TEST(StoreTest, RoundTripRemapsLinesAfterCommentOnlyEdit) {
   CacheGuard guard;
-  FileGuard snap{tempPath("store_v2_remap.pano")};
+  FileGuard snap{tempPath("store_remap.pano")};
   AnalysisSession saver;
   SessionResult cold = saver.submit(nestSource(0));
   ASSERT_TRUE(cold.ok);

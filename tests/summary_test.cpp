@@ -403,56 +403,6 @@ TEST(SummaryTest, NonInterproceduralDegradesToOmega) {
   EXPECT_TRUE(undecided);
 }
 
-TEST(SummaryTest, DownwardExposedUses) {
-  // DE (§3.2.2): a read followed by a same-iteration write of the same
-  // element is not downward exposed; a read that is never overwritten is.
-  Analyzed a = analyzeSource(R"(
-      subroutine s(a, b, x, n)
-      real a(100), b(100), x
-      integer n
-      do i = 1, n
-        x = a(5) + b(i)
-        a(5) = x * 2
-      enddo
-      end
-  )");
-  const LoopSummary& ls = a.loop("s");
-  VarId i = ls.bounds.index;
-  VarId n = a.var("s", "n");
-  ArrayId arr = a.arr("s", "a");
-  ArrayId brr = a.arr("s", "b");
-  // UE_i(a) = {5} (read before write)...
-  EXPECT_EQ(evalList(ls.ueIter, arr, {{i, 3}, {n, 8}}), points({5}));
-  // ...but DE_i(a) = {} — the write follows the read.
-  EXPECT_EQ(evalList(ls.deIter, arr, {{i, 3}, {n, 8}}), points({}));
-  // b(i) is read and never written: downward exposed.
-  EXPECT_EQ(evalList(ls.deIter, brr, {{i, 3}, {n, 8}}), points({3}));
-}
-
-TEST(SummaryTest, DeBasedAntiTest) {
-  // t = a(5); a(5) = t + i: the UE-based anti test fires (a(5) is read and
-  // written by every other iteration), the DE-based one does not — the anti
-  // dependence is subsumed by the output dependence, exactly §3.2.2's note.
-  Analyzed a = analyzeSource(R"(
-      subroutine s(a, n)
-      real a(100)
-      real t
-      integer n
-      do i = 1, n
-        t = a(5)
-        a(5) = t + i
-      enddo
-      end
-  )");
-  const LoopSummary& ls = a.loop("s");
-  ConstraintSet cs;
-  cs.addExprLE0(ls.bounds.lo - SymExpr::variable(ls.bounds.index));
-  cs.addExprLE0(SymExpr::variable(ls.bounds.index) - ls.bounds.up);
-  CmpCtx ctx{cs};
-  EXPECT_NE(garIntersectionEmpty(ls.ueIter, ls.modAfter, ctx), Truth::True);
-  EXPECT_EQ(garIntersectionEmpty(ls.deIter, ls.modAfter, ctx), Truth::True);
-}
-
 TEST(SummaryTest, InductionVariableConversion) {
   // §5.2: k advances by 2 per iteration — the analysis converts it to an
   // expression of the loop index instead of giving up.
